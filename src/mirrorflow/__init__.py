@@ -54,7 +54,6 @@ from .smoothing import (
     MuSchedule,
     SmoothedObjective,
     smooth_abs,
-    smooth_l1,
     smooth_max_zero,
     smoothed_l1_objective,
 )

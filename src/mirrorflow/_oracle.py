@@ -13,6 +13,7 @@ optimum never depends on any iterative tolerance of ours.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 from .errors import OracleError
@@ -99,22 +100,14 @@ def solve_constrained_smooth(problem: ConstrainedProblem, tol: float) -> Referen
     return ReferenceSolution(x, lam, problem.f_exact(x), kkt, method="alm-fista")
 
 
-def _block_projector(mirrors, sizes):
-    projs = [euclidean_projector(m).project for m in mirrors]
-
-    def proj(z):
-        out, pos = [], 0
-        for p, size in zip(projs, sizes):
-            out.append(p(z[pos:pos + size]))
-            pos += size
-        return np.concatenate(out)
-
-    return proj
+def _block_projector(problem):
+    """Euclidean projection of a stacked x onto the agents' sets, block by block."""
+    projs = [euclidean_projector(m).project for m in problem.mirrors]
+    return lambda z: np.concatenate([p(zi) for p, zi in zip(projs, problem.blocks(z))])
 
 
 def solve_consensus_smooth(problem: ConsensusProblem, tol: float) -> ReferenceSolution:
-    sizes = [problem.block_dim] * problem.n_agents
-    proj = _block_projector(problem.mirrors, sizes)
+    proj = _block_projector(problem)
     lip = max((o.lipschitz or 1.0) for o in problem.objectives)
     lap = problem.lifted.matrix
     x, lam, kkt = _alm(lambda z: problem.grad_stacked(z), lip, proj,
@@ -128,7 +121,7 @@ def solve_demo_smooth(problem: MonotropicProblem, tol: float) -> ReferenceSoluti
     lap = problem.lifted.matrix
     nx, ny = problem.dim, problem.multiplier_dim
     a = np.hstack([a_bar, lap])
-    proj_x = _block_projector(problem.mirrors, problem.p_sizes)
+    proj_x = _block_projector(problem)
 
     def proj(z):
         return np.concatenate([proj_x(z[:nx]), z[nx:]])
@@ -219,13 +212,7 @@ def solve_consensus_l1(problem: ConsensusProblem, tol: float) -> ReferenceSoluti
 
     n, k = problem.block_dim, problem.n_agents
     lap = problem.lifted.matrix
-    a_bar_t = np.zeros((k * n, a_full.shape[0]))  # block diagonal of A_i^T
-    row = 0
-    pos = 0
-    for a_i in a_rows:
-        a_bar_t[row:row + n, pos:pos + a_i.shape[0]] = a_i.T
-        row += n
-        pos += a_i.shape[0]
+    a_bar_t = block_diag(*(a_i.T for a_i in a_rows))
 
     support = np.nonzero(x_bar)[0]
     sign_s = np.sign(x_bar[support])

@@ -45,19 +45,6 @@ _CATALOGUE_NOTES = {
     "consensus_quadratic": "two Euclidean quadratic agents on one weighted edge",
 }
 
-_SMOOTHED_PROBLEMS = {"nbp", "d_bp_r", "d_bp_c"}
-
-_PROBLEM_SHAPES = {
-    "scalar": "ConstrainedProblem",
-    "logregress": "ConstrainedProblem",
-    "nbp": "ConstrainedProblem",
-    "dis_log": "ConsensusProblem",
-    "d_bp_r": "ConsensusProblem",
-    "consensus_quadratic": "ConsensusProblem",
-    "d_sp": "MonotropicProblem",
-    "d_bp_c": "MonotropicProblem",
-}
-
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mirrorflow",
@@ -102,36 +89,36 @@ def _load_config(args) -> dict:
 
 
 def _validate(cfg: dict):
-    system = cfg["system"]
-    if not cfg.get("problem") and "problem_spec" not in cfg:
+    """Build the problem once and check that the system accepts its shape and
+    smoothness, before any output is written."""
+    system, name = cfg["system"], cfg.get("problem")
+    if "problem_spec" not in cfg and not name:
         raise UsageError("no problem given: use --problem or a config problem_spec")
-    if "problem_spec" in cfg:
-        smoothed = cfg["problem_spec"].get("objective", {}).get("kind") == "l1"
-        if SYSTEMS[system][2] != smoothed:
-            raise UsageError(f"system {system!r} does not match the inline problem's "
-                             "objective smoothness")
-        return
-    name = cfg["problem"]
-    if name not in PROBLEMS:
+    if "problem_spec" not in cfg and name not in PROBLEMS:
         raise UsageError(
             f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}")
-    smoothed_system = SYSTEMS[system][2]
-    if smoothed_system != (name in _SMOOTHED_PROBLEMS):
-        want = "a smoothed" if smoothed_system else "a smooth"
+    problem = _build_problem(cfg)
+    _, ptype, smoothed = SYSTEMS[system]
+    if problem.is_smoothed != smoothed:
+        want = "a smoothed" if smoothed else "a smooth"
         raise UsageError(f"system {system!r} needs {want} objective; "
                          f"problem {name!r} does not match")
-    if SYSTEMS[system][1].__name__ != _PROBLEM_SHAPES[name]:
-        raise UsageError(f"system {system!r} expects a {SYSTEMS[system][1].__name__}; "
-                         f"problem {name!r} is a {_PROBLEM_SHAPES[name]}")
+    if not isinstance(problem, ptype):
+        raise UsageError(f"system {system!r} expects a {ptype.__name__}; "
+                         f"problem {name!r} is a {type(problem).__name__}")
+
+
+def _build_problem(cfg: dict):
+    """The inline problem_spec when given, else the catalogue entry."""
+    if "problem_spec" in cfg:
+        return problem_from_spec(cfg["problem_spec"])
+    return PROBLEMS[cfg["problem"]](cfg.get("seed", 1))
 
 
 def run_single(cfg: dict, out_dir: Path) -> dict:
     started = time.time()
-    if "problem_spec" in cfg:
-        problem = problem_from_spec(cfg["problem_spec"])
-        cfg = {**cfg, "problem": cfg.get("problem", "custom")}
-    else:
-        problem = PROBLEMS[cfg["problem"]](cfg.get("seed", 1))
+    problem = _build_problem(cfg)
+    cfg = {**cfg, "problem": cfg.get("problem", "custom")}
     alpha = float(cfg["alpha"])
     mu = None
     if SYSTEMS[cfg["system"]][2]:
@@ -257,7 +244,7 @@ def cmd_list(args) -> int:
     for name in sorted(PROBLEMS):
         if needle and needle not in name:
             continue
-        kind = "smoothed" if name in _SMOOTHED_PROBLEMS else "smooth"
+        kind = "smoothed" if PROBLEMS[name](1).is_smoothed else "smooth"
         print(f"{name:22s} {kind:9s} {_CATALOGUE_NOTES.get(name, '')}")
     if not needle:
         print()

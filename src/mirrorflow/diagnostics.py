@@ -1,32 +1,33 @@
 """Convergence diagnostics: Lagrangian gaps, Lyapunov energies, rate bounds.
 
-For every integrated run this module computes, per sample,
-
-  * the primal gap |f(x(t)) - f*| and the signed objective gap,
-  * the (augmented) Lagrangian gap evaluated at the reference multiplier,
-  * the feasibility measure of the family (||Ax-b|| centralized, x.Lx for
-    consensus flows, lam.L lam for the monotropic flows),
-  * the Lyapunov energy whose t^-2 decay certifies the rate,
-
-and then checks the closed-form bounds: gap * t^2 <= slack * alpha^2 V(t0),
-the feasibility analogues, the per-sample objective window evaluated with
-the residual-direction multiplier, monotonicity of the energy, and the
-plateau of the partial integrals. A bound evaluated against an infinite
-V(t0) (which happens when the optimum sits on the boundary of a
-Burg-entropy agent's domain) is reported as trivially satisfied, with a
-warning, because the certificate itself is infinite there.
+Every flow is certified by one argument. The energy
+V(t) = (t^2/alpha^2) core + Bregman terms + ||v - lam*||^2 / 2 is
+nonincreasing, where core = f(x) - f* + lam*.rho + penalty (+ 4 kappa mu(t)
+when smoothed), so core t^2 <= alpha^2 V(t0). A per-family descriptor
+(``_Family``, keyed by ``VectorField.kind``) supplies what differs: the
+residual rho (Ax - b, L x, or Abar x - d - L y*) and its penalty, the
+feasibility measure and its check's name and constant (2 alpha^2 V0/(beta t^2),
+or 2 alpha^2 V0/t^2 for the monotropic flows), the extra energy term
+||z - y*||^2 / 2 of the monotropic flows, and the window and lower checks.
+``evaluate_run`` walks the samples once; ``check_bounds`` re-runs the rate
+checks through the same builder. The centralized lower checks follow from
+the saddle inequality f - f* >= -lam*.r >= -||lam*|| ||r|| and the
+feasibility bound ||r|| <= alpha sqrt(2 V0/beta) / t. A bound against an
+infinite V(t0) (an optimum on the boundary of a Burg-entropy domain) holds
+trivially, with a warning; a NaN or -inf fails, naming the first such t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .dynamics import SystemParams, VectorField
+from .dynamics import SYSTEMS, SystemParams, VectorField
 from .errors import ParameterError
 from .integrator import Trajectory
-from .problems import ConsensusProblem, ConstrainedProblem, MonotropicProblem, ReferenceSolution
+from .problems import ConstrainedProblem, ReferenceSolution
 
 DEFAULT_SLACK = 1.05
 LYAPUNOV_REL_SLACK = 1e-6
@@ -63,18 +64,8 @@ class RunReport:
     warnings: list = field(default_factory=list)
 
     @property
-    def bound_core(self) -> np.ndarray:
-        """The rate-bounded quantity: the Lagrangian gap, plus 4 kappa mu(t)
-        for smoothed systems."""
-        return self.lagrangian_gap + 4.0 * self.kappa * self.mu
-
-    @property
     def feasibility_max_violation(self) -> float:
         return float(np.max(self.set_violation))
-
-    @property
-    def all_bounds_ok(self) -> bool:
-        return all(c.ok for c in self.bound_checks)
 
     def check(self, name: str) -> BoundCheck:
         for c in self.bound_checks:
@@ -109,83 +100,60 @@ def _safe_rate_fit(times, values) -> float:
         return float("nan")
 
 
-def lagrangian_gap(problem: ConstrainedProblem, x, lam, ref: ReferenceSolution,
-                   beta: float) -> float:
-    """Two-sided augmented-Lagrangian gap at the reference multiplier.
-
-    Equals f(x) - f* + lam*.(Ax - b) + (beta/2) ||Ax - b||^2; the trajectory
-    multiplier ``lam`` cancels exactly because A x* = b, so only the primal
-    point enters. Nonnegative up to the oracle tolerance.
-    """
+def lagrangian_gap(problem: ConstrainedProblem, x, ref: ReferenceSolution, beta: float) -> float:
+    """Two-sided augmented-Lagrangian gap at the reference multiplier,
+    f(x) - f* + lam*.(Ax - b) + (beta/2) ||Ax - b||^2. Nonnegative up to the
+    oracle tolerance."""
     r = problem.a @ x - problem.b
     return float(problem.f_exact(x) - ref.f_star + ref.lam_star @ r + 0.5 * beta * (r @ r))
 
 
-def lyapunov_apdmd(t: float, state: dict, mirror, problem: ConstrainedProblem,
-                   ref: ReferenceSolution, params: SystemParams) -> float:
-    """Energy of the centralized flow at one state.
-
-    (t^2/a^2) * gap + D(u against the dual point of x*) + ||v - lam*||^2 / 2,
-    where gap is the augmented-Lagrangian gap, with the surrogate value and
-    the 4 kappa mu(t) term replacing the exact objective for smoothed runs.
-    The dual Bregman term is evaluated through its primal-side limit, which
-    stays finite for boundary optima of the entropy maps.
-    """
-    x, u, v = state["x"], state["u"], state["v"]
-    r = problem.a @ x - problem.b
-    if problem.is_smoothed:
-        mu = params.mu.mu_at(t)
-        core = problem.objective.value(x, mu) - problem.objective.value(ref.x_star, mu) \
-            + ref.lam_star @ r + 0.5 * params.beta * (r @ r) \
-            + 4.0 * problem.objective.kappa * mu
-    else:
-        core = lagrangian_gap(problem, x, None, ref, params.beta)
-    return float((t**2 / params.alpha**2) * core
-                 + mirror.bregman_to_point(ref.x_star, u)
-                 + 0.5 * np.sum((v - ref.lam_star) ** 2))
+def _invalid(name, times, *series) -> BoundCheck | None:
+    """A failing check naming the first sample where a series is NaN or -inf."""
+    bad = np.any([np.isnan(v) | np.isneginf(v) for v in series], axis=0)
+    if bad.any():
+        return BoundCheck(name, float("nan"), False,
+                          f"NaN or -inf at t = {times[np.argmax(bad)]:.6g}")
+    return None
 
 
-def lyapunov_adpdmd(t: float, state: dict, problem: ConsensusProblem,
-                    ref: ReferenceSolution, params: SystemParams) -> float:
-    """Energy of the consensus flow; blockwise Bregman terms per agent."""
-    x, u, v = state["x"], state["u"], state["v"]
-    lap = problem.lifted.matrix
-    lx = lap @ x
-    q = float(x @ lx)
-    if problem.is_smoothed:
-        mu = params.mu.mu_at(t)
-        core = problem.f_smooth(x, mu) - problem.f_smooth(ref.x_star, mu) \
-            + ref.lam_star @ lx + 0.5 * params.beta * q + 4.0 * problem.kappa * mu
-    else:
-        core = problem.f_exact(x) - ref.f_star + ref.lam_star @ lx + 0.5 * params.beta * q
-    breg = sum(m.bregman_to_point(xs, ui) for m, ui, xs in
-               zip(problem.mirrors, problem.blocks(u), problem.blocks(ref.x_star)))
-    return float((t**2 / params.alpha**2) * core + breg
-                 + 0.5 * np.sum((v - ref.lam_star) ** 2))
+def _ratio_check(name, times, quantity, bound, slack, warnings, note="") -> BoundCheck:
+    """max over samples of quantity/bound <= slack."""
+    if failed := _invalid(name, times, quantity, bound):
+        return failed
+    infinite = np.isposinf(bound)
+    if infinite.any():
+        warnings.append(f"{name}: certificate is infinite, bound holds trivially")
+        if infinite.all():
+            return BoundCheck(name, 0.0, True, "infinite certificate")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bound > 0, quantity / np.where(bound > 0, bound, 1.0), np.inf)
+        ratios = np.where((quantity <= 0) & (bound <= 0), 0.0, ratios)
+    ratio = float(np.max(ratios))
+    return BoundCheck(name, ratio, bool(ratio <= slack), note)
 
 
-def lyapunov_admd(t: float, state: dict, problem: MonotropicProblem,
-                  ref: ReferenceSolution, params: SystemParams) -> float:
-    """Energy of the monotropic flow, including the auxiliary-block term."""
-    x, u, v, z = state["x"], state["u"], state["v"], state["z"]
-    lam = state["lam"]
-    lap = problem.lifted.matrix
-    p = float(lam @ (lap @ lam))
-    resid_star = problem.a_bar @ x - problem.d - lap @ ref.y_star
-    if problem.is_smoothed:
-        mu = params.mu.mu_at(t)
-        core = problem.f_smooth(x, mu) - problem.f_smooth(ref.x_star, mu) \
-            + ref.lam_star @ resid_star + 0.5 * p + 4.0 * problem.kappa * mu
-    else:
-        core = problem.f_exact(x) - ref.f_star + ref.lam_star @ resid_star + 0.5 * p
-    breg = sum(m.bregman_to_point(xs, ui) for m, ui, xs in
-               zip(problem.mirrors, problem.blocks(u), problem.blocks(ref.x_star)))
-    return float((t**2 / params.alpha**2) * core + breg
-                 + 0.5 * np.sum((v - ref.lam_star) ** 2)
-                 + 0.5 * np.sum((z - ref.y_star) ** 2))
+def _lyapunov_monotone(times, lyap, warnings) -> BoundCheck:
+    if failed := _invalid("lyapunov_monotone", times, lyap):
+        return failed
+    if np.isposinf(lyap).any():
+        warnings.append("lyapunov_monotone: energy is infinite, check skipped")
+        return BoundCheck("lyapunov_monotone", 0.0, True, "infinite energy")
+    allowed = lyap[:-1] * (1.0 + LYAPUNOV_REL_SLACK) + LYAPUNOV_ABS_SLACK
+    excess = lyap[1:] - allowed
+    worst = float(np.max(excess / np.maximum(lyap[:-1], 1e-30)))
+    return BoundCheck("lyapunov_monotone", max(worst, 0.0), bool(np.all(excess <= 0)),
+                      "max relative increase")
 
 
-def _integral_plateau(times, integrand, name, guaranteed: bool, warnings: list) -> BoundCheck:
+def _positivity(name, times, values) -> BoundCheck:
+    if failed := _invalid(name, times, values):
+        return failed
+    worst = float(np.min(values))
+    return BoundCheck(name, worst, bool(worst >= -1e-8), "min over samples")
+
+
+def _integral_plateau(times, integrand, name, guaranteed: bool) -> BoundCheck:
     cumulative = np.concatenate([[0.0], np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))])
     total = cumulative[-1]
@@ -196,349 +164,144 @@ def _integral_plateau(times, integrand, name, guaranteed: bool, warnings: list) 
     return BoundCheck(name, float(growth), bool(growth <= 0.05), "relative growth over last decade")
 
 
-def _ratio_check(name, quantity, bound, slack, warnings, note="") -> BoundCheck:
-    """max over samples of quantity/bound <= slack; inf bounds pass trivially."""
-    bound = np.asarray(bound, dtype=float)
-    if np.any(~np.isfinite(bound)):
-        warnings.append(f"{name}: certificate is infinite, bound holds trivially")
-        finite = np.isfinite(bound)
-        if not np.any(finite):
-            return BoundCheck(name, 0.0, True, "infinite certificate")
-        ratio = float(np.max(quantity[finite] / bound[finite], initial=0.0))
-        return BoundCheck(name, ratio, bool(ratio <= slack), "partially infinite certificate")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bound > 0, quantity / np.where(bound > 0, bound, 1.0), np.inf)
-        ratios = np.where((quantity <= 0) & (bound <= 0), 0.0, ratios)
-    ratio = float(np.max(ratios))
-    return BoundCheck(name, ratio, bool(ratio <= slack), note)
+@dataclass(frozen=True)
+class _Family:
+    # (problem, ref, beta, smoothed, state, obj_gap) -> (rho, penalty, feasibility,
+    # extra energy, window), window = (upper value, unit multiplier lam~) or None
+    sample: Callable
+    feasibility: str     # name of the feasibility rate check
+    squared: bool        # it bounds feasibility**2 (a norm), else feasibility
+    over_beta: bool      # its constant is 2 a^2 V0 / (beta t^2), else 2 a^2 V0 / t^2
+    # lower checks: from the saddle inequality ("saddle") or from the window's
+    # V0 ("window"); None also drops the window and feasibility plateau checks
+    lower: str | None = None
+    reference: Callable | None = None  # (problem, ref) -> warnings; may raise
 
 
-def _lyapunov_monotone(times, lyap, warnings) -> BoundCheck:
-    if np.any(~np.isfinite(lyap)):
-        warnings.append("lyapunov_monotone: energy is infinite, check skipped")
-        return BoundCheck("lyapunov_monotone", 0.0, True, "infinite energy")
-    allowed = lyap[:-1] * (1.0 + LYAPUNOV_REL_SLACK) + LYAPUNOV_ABS_SLACK
-    excess = lyap[1:] - allowed
-    worst = float(np.max(excess / np.maximum(lyap[:-1], 1e-30)))
-    return BoundCheck("lyapunov_monotone", max(worst, 0.0), bool(np.all(excess <= 0)),
-                      "max relative increase")
+def _central(problem, ref, beta, smoothed, s, gap):
+    r = problem.a @ s["x"] - problem.b
+    rn = float(np.linalg.norm(r))
+    upper = gap + rn if smoothed else gap + rn + 0.5 * beta * rn**2
+    return r, 0.5 * beta * (r @ r), rn, 0.0, (upper, r / rn if rn > 0 else np.zeros_like(r))
 
 
-def _positivity(name, values, warnings) -> BoundCheck:
-    finite = values[np.isfinite(values)]
-    worst = float(np.min(finite)) if finite.size else 0.0
-    return BoundCheck(name, worst, bool(worst >= -1e-8), "min over samples")
+def _consensus(problem, ref, beta, smoothed, s, gap):
+    x = s["x"]
+    lx = problem.lifted.matrix @ x
+    q = float(x @ lx)
+    if smoothed:
+        lxn = float(np.linalg.norm(lx))
+        window = gap + lxn, (lx / lxn if lxn > 0 else np.zeros_like(lx))
+    else:
+        window = gap + np.sqrt(max(q, 0.0)), (x / np.sqrt(q) if q > 1e-300 else np.zeros_like(x))
+    return lx, 0.5 * beta * q, max(q, 0.0), 0.0, window
+
+
+def _demo(problem, ref, beta, smoothed, s, gap):
+    lap, lam = problem.lifted.matrix, s["lam"]
+    p = float(lam @ (lap @ lam))
+    return (problem.a_bar @ s["x"] - problem.d - lap @ ref.y_star, 0.5 * p, max(p, 0.0),
+            0.5 * float(np.sum((s["z"] - ref.y_star) ** 2)), None)
+
+
+def _demo_reference(problem, ref) -> list:
+    if ref.y_star is None:
+        raise ParameterError("monotropic diagnostics need y* from the reference solution")
+    # the certificate requires a consensus multiplier
+    if float(np.max(np.abs(problem.lifted.matrix @ ref.lam_star))) > 1e-6:
+        return ["reference multiplier is not consensual; energy may be loose"]
+    return []
+
+
+_CENTRAL = _Family(_central, "feasibility_rate", True, True, "saddle")
+_CONSENSUS = _Family(_consensus, "consensus_rate", False, True, "window")
+_DEMO = _Family(_demo, "multiplier_consensus_rate", False, False, reference=_demo_reference)
+_FAMILIES = {"apdmd": _CENTRAL, "apdpd": _CENTRAL, "sapdmd": _CENTRAL,
+             "adpdmd": _CONSENSUS, "sadpdmd": _CONSENSUS, "admd": _DEMO, "sadmd": _DEMO}
+
+
+def _rate_checks(fam, times, core, feas, v0, alpha, beta, slack, warnings) -> list:
+    """The certificate's rate checks: core and the feasibility measure."""
+    feas_bound = 2.0 * alpha**2 * v0 / (beta * times**2) if fam.over_beta \
+        else 2.0 * alpha**2 * v0 / times**2
+    return [
+        _ratio_check("lagrangian_gap_rate", times, core, alpha**2 * v0 / times**2, slack, warnings),
+        _ratio_check(fam.feasibility, times, feas**2 if fam.squared else feas, feas_bound,
+                     slack, warnings),
+    ]
 
 
 def evaluate_run(fieldspec: VectorField, traj: Trajectory, ref: ReferenceSolution,
                  slack: float = DEFAULT_SLACK) -> RunReport:
     kind = fieldspec.kind
-    if traj.mu is None and fieldspec.params.mu is not None:
-        traj.mu = _mu_values(fieldspec.params, traj.times, True)
-    if kind in ("apdmd", "apdpd", "sapdmd", "apdmd2"):
-        return _evaluate_centralized(fieldspec, traj, ref, slack)
-    if kind in ("adpdmd", "sadpdmd"):
-        return _evaluate_consensus(fieldspec, traj, ref, slack)
-    if kind in ("admd", "sadmd"):
-        return _evaluate_demo(fieldspec, traj, ref, slack)
-    raise ParameterError(f"no diagnostics for system kind {kind!r}")
-
-
-def _mu_values(params: SystemParams, times, smoothed: bool):
-    if not smoothed:
-        return np.zeros_like(times)
-    return np.array([params.mu.mu_at(t) for t in times])
-
-
-def _evaluate_centralized(fieldspec, traj, ref, slack):
-    problem: ConstrainedProblem = fieldspec.problem
-    params = fieldspec.params
-    alpha, beta = params.alpha, params.beta
-    smoothed = fieldspec.kind == "sapdmd"
-    kappa = problem.objective.kappa if smoothed else 0.0
-    times = traj.times
-    mu = _mu_values(params, times, smoothed)
-    warnings = list(traj.warnings)
-
-    n = times.size
-    obj_gap = np.empty(n)
-    lag_gap = np.empty(n)
-    feas = np.empty(n)
-    setviol = np.empty(n)
-    lyap = np.empty(n)
-    x_norm = np.empty(n)
-    lam_norm = np.empty(n)
-    window_upper = np.empty(n)
-    window_bound = np.empty(n)
-    lower_bound = np.empty(n)
-
-    a, b = problem.a, problem.b
-    mirror = problem.mirror
+    if kind not in _FAMILIES:
+        raise ParameterError(f"no diagnostics for system kind {kind!r}")
+    fam, problem, params = _FAMILIES[kind], fieldspec.problem, fieldspec.params
+    alpha, beta, smoothed = params.alpha, params.beta, SYSTEMS[kind][2]
+    kappa, times = problem.kappa, traj.times
+    mu = np.array([params.mu.mu_at(t) for t in times]) if smoothed else np.zeros_like(times)
+    warnings = list(traj.warnings) + (fam.reference(problem, ref) if fam.reference else [])
     x_star, lam_star, f_star = ref.x_star, ref.lam_star, ref.f_star
+    # mirror maps and block splitter; a centralized problem is one agent
+    mirrors, blocks = ((problem.mirror,), lambda w: (w,)) \
+        if isinstance(problem, ConstrainedProblem) else (problem.mirrors, problem.blocks)
+    star_blocks = blocks(x_star)
 
-    # pieces of V(t0) that do not depend on the multiplier choice
-    s0 = fieldspec.layout.split(traj.states[0])
-    t0 = times[0]
-    r0 = a @ s0["x"] - b
-    if smoothed:
-        f0_gap = problem.objective.value(s0["x"], mu[0]) - problem.objective.value(x_star, mu[0]) \
-            + 4.0 * kappa * mu[0]
-    else:
-        f0_gap = problem.f_exact(s0["x"]) - f_star
-    breg0 = mirror.bregman_to_point(x_star, s0["u"])
-
-    def v0_of(lam_tilde):
-        v1 = (t0**2 / alpha**2) * (f0_gap + lam_tilde @ r0 + 0.5 * beta * (r0 @ r0))
-        v3 = 0.5 * float(np.sum((s0["v"] - lam_tilde) ** 2))
-        return v1 + breg0 + v3
-
-    for i in range(n):
+    obj_gap, lag_gap, feas, setviol, lyap, x_norm, lam_norm, upper, window_bound, window_v0 = \
+        np.empty((10, times.size))
+    for i, t in enumerate(times):
         s = fieldspec.layout.split(traj.states[i])
-        x, u, lam, v = s["x"], s["u"], s["lam"], s["v"]
-        r = a @ x - b
-        rn = float(np.linalg.norm(r))
-        feas[i] = rn
-        setviol[i] = mirror.set_violation(x)
+        x, u, v = s["x"], s["u"], s["v"]
+        obj_gap[i] = problem.f_exact(x) - f_star
+        rho, penalty, feas[i], extra, window = fam.sample(problem, ref, beta, smoothed, s,
+                                                          obj_gap[i])
+        setviol[i] = problem.set_violation(x)
         x_norm[i] = float(np.linalg.norm(x))
-        lam_norm[i] = float(np.linalg.norm(lam))
-        fx = problem.f_exact(x)
-        obj_gap[i] = fx - f_star
-        if smoothed:
-            smooth_gap = problem.objective.value(x, mu[i]) - problem.objective.value(x_star, mu[i])
-            lag_gap[i] = smooth_gap + lam_star @ r + 0.5 * beta * (r @ r)
-            core = lag_gap[i] + 4.0 * kappa * mu[i]
-        else:
-            lag_gap[i] = fx - f_star + lam_star @ r + 0.5 * beta * (r @ r)
-            core = lag_gap[i]
-        lyap[i] = (times[i] ** 2 / alpha**2) * core + mirror.bregman_to_point(x_star, u) \
-            + 0.5 * float(np.sum((v - lam_star) ** 2))
-        # residual-direction multiplier for the objective window
-        lam_tilde = r / rn if rn > 0 else np.zeros_like(r)
-        v0t = v0_of(lam_tilde)
-        if smoothed:
-            window_upper[i] = obj_gap[i] + rn
-            lower_bound[i] = -alpha * np.sqrt(max(2.0 * v0t, 0.0)) / (times[i] * np.sqrt(beta))
-        else:
-            window_upper[i] = obj_gap[i] + rn + 0.5 * beta * rn**2
-            lower_bound[i] = -alpha * np.sqrt(max(v0t, 0.0)) / times[i]
-        window_bound[i] = alpha**2 * v0t / times[i] ** 2
+        lam_norm[i] = float(np.linalg.norm(s["lam"]))
+        gap = problem.f_smooth(x, mu[i]) - problem.f_smooth(x_star, mu[i]) if smoothed \
+            else obj_gap[i]
+        lag_gap[i] = gap + lam_star @ rho + penalty
+        core = lag_gap[i] + 4.0 * kappa * mu[i] if smoothed else lag_gap[i]
+        breg = sum(m.bregman_to_point(xs, ui) for m, ui, xs in zip(mirrors, blocks(u), star_blocks))
+        lyap[i] = (t ** 2 / alpha**2) * core + breg + 0.5 * float(np.sum((v - lam_star) ** 2)) \
+            + extra
+        if i == 0:  # the pieces of V(t0) that do not depend on the multiplier
+            f0_gap = gap + 4.0 * kappa * mu[0] if smoothed else gap
+            t0, rho0, penalty0, breg0, v_0 = t, rho, penalty, breg, v
+        if window:  # V(t0) with the window's multiplier lam~ in place of lam*
+            upper[i], unit = window
+            window_v0[i] = (t0**2 / alpha**2) * (f0_gap + unit @ rho0 + penalty0) + breg0 \
+                + 0.5 * float(np.sum((v_0 - unit) ** 2))
+            window_bound[i] = alpha**2 * window_v0[i] / t ** 2
 
     v0 = float(lyap[0])
-    core_series = lag_gap + 4.0 * kappa * mu if smoothed else lag_gap
-    checks = [
-        _ratio_check("lagrangian_gap_rate", core_series, alpha**2 * v0 / times**2, slack, warnings),
-        _ratio_check("feasibility_rate", feas**2, 2.0 * alpha**2 * v0 / (beta * times**2),
-                     slack, warnings),
-        _positivity("saddle_positivity", core_series, warnings),
-        _ratio_check("objective_window", window_upper, window_bound, slack, warnings,
-                     "residual-direction multiplier"),
-        _positivity("objective_window_lower", window_upper, warnings),
-        BoundCheck("objective_lower",
-                   float(np.max((lower_bound * slack - 1e-10) - obj_gap)),
-                   bool(np.all(obj_gap >= lower_bound * slack - 1e-10)),
-                   "signed slack margin"),
-        _lyapunov_monotone(times, lyap, warnings),
-        _integral_plateau(times, times * core_series, "integral_gap_plateau",
-                          alpha > 2, warnings),
-        _integral_plateau(times, (np.ones_like(times) if smoothed else times) * feas**2,
-                          "integral_feasibility_plateau", True, warnings),
-    ]
-    if getattr(mirror, "clamp_triggered", False):
+    core = lag_gap + 4.0 * kappa * mu if smoothed else lag_gap
+    checks = _rate_checks(fam, times, core, feas, v0, alpha, beta, slack, warnings)
+    checks.append(_positivity("saddle_positivity", times, core))
+    if fam.lower:
+        checks.append(_ratio_check("objective_window", times, upper, window_bound, slack,
+                                   warnings, "residual-direction multiplier"))
+        if fam.lower == "saddle":
+            lam_star_norm = float(np.linalg.norm(lam_star))
+            checks.append(_positivity("objective_window_lower", times,
+                                      obj_gap + lam_star_norm * feas))
+            lower = -lam_star_norm * alpha * np.sqrt(2.0 * v0 / beta) / times
+        else:
+            lower = -alpha * np.sqrt(np.maximum(2.0 * window_v0, 0.0)) / (times * np.sqrt(beta))
+        floor = lower * slack - 1e-10
+        checks.append(BoundCheck("objective_lower", float(np.max(floor - obj_gap)),
+                                 bool(np.all(obj_gap >= floor)), "signed slack margin"))
+    checks += [_lyapunov_monotone(times, lyap, warnings),
+               _integral_plateau(times, times * core, "integral_gap_plateau", alpha > 2)]
+    if fam.lower:
+        weight = np.ones_like(times) if smoothed else times
+        checks.append(_integral_plateau(times, weight * (feas**2 if fam.squared else feas),
+                                        "integral_feasibility_plateau", True))
+    if any(getattr(m, "clamp_triggered", False) for m in mirrors):
         warnings.append("neg_entropy exponent clamp was triggered during this run")
 
     return RunReport(
-        system=fieldspec.kind, times=times, primal_gap=np.abs(obj_gap), obj_gap=obj_gap,
-        lagrangian_gap=lag_gap, feasibility=feas, set_violation=setviol, lyapunov=lyap,
-        mu=mu, x_norm=x_norm, lambda_norm=lam_norm, v0=v0,
-        slope_gap=_safe_rate_fit(times, np.abs(obj_gap)),
-        slope_feasibility=_safe_rate_fit(times, feas),
-        kappa=kappa, bound_checks=checks, warnings=warnings,
-    )
-
-
-def _evaluate_consensus(fieldspec, traj, ref, slack):
-    problem: ConsensusProblem = fieldspec.problem
-    params = fieldspec.params
-    alpha, beta = params.alpha, params.beta
-    smoothed = fieldspec.kind == "sadpdmd"
-    kappa = problem.kappa
-    times = traj.times
-    mu = _mu_values(params, times, smoothed)
-    warnings = list(traj.warnings)
-    lap = problem.lifted.matrix
-    x_star, lam_star, f_star = ref.x_star, ref.lam_star, ref.f_star
-
-    n = times.size
-    obj_gap = np.empty(n)
-    lag_gap = np.empty(n)
-    feas = np.empty(n)       # x.Lx
-    setviol = np.empty(n)
-    lyap = np.empty(n)
-    x_norm = np.empty(n)
-    lam_norm = np.empty(n)
-    window_upper = np.empty(n)
-    window_bound = np.empty(n)
-    lower_bound = np.empty(n)
-
-    def breg_total(u):
-        total = 0.0
-        ub = problem.blocks(u)
-        xb = problem.blocks(x_star)
-        for mir, ui, xsi in zip(problem.mirrors, ub, xb):
-            total += mir.bregman_to_point(xsi, ui)
-        return total
-
-    s0 = fieldspec.layout.split(traj.states[0])
-    t0 = times[0]
-    lx0 = lap @ s0["x"]
-    q0 = float(s0["x"] @ lx0)
-    if smoothed:
-        f0_gap = problem.f_smooth(s0["x"], mu[0]) - problem.f_smooth(x_star, mu[0]) \
-            + 4.0 * kappa * mu[0]
-    else:
-        f0_gap = problem.f_exact(s0["x"]) - f_star
-    breg0 = breg_total(s0["u"])
-
-    def v0_of(lam_tilde):
-        v1 = (t0**2 / alpha**2) * (f0_gap + lam_tilde @ lx0 + 0.5 * beta * q0)
-        v3 = 0.5 * float(np.sum((s0["v"] - lam_tilde) ** 2))
-        return v1 + breg0 + v3
-
-    for i in range(n):
-        s = fieldspec.layout.split(traj.states[i])
-        x, u, lam, v = s["x"], s["u"], s["lam"], s["v"]
-        lx = lap @ x
-        q = float(x @ lx)
-        feas[i] = max(q, 0.0)
-        setviol[i] = problem.set_violation(x)
-        x_norm[i] = float(np.linalg.norm(x))
-        lam_norm[i] = float(np.linalg.norm(lam))
-        fx = problem.f_exact(x)
-        obj_gap[i] = fx - f_star
-        if smoothed:
-            sgap = problem.f_smooth(x, mu[i]) - problem.f_smooth(x_star, mu[i])
-            lag_gap[i] = sgap + lam_star @ lx + 0.5 * beta * q
-            core = lag_gap[i] + 4.0 * kappa * mu[i]
-        else:
-            lag_gap[i] = fx - f_star + lam_star @ lx + 0.5 * beta * q
-            core = lag_gap[i]
-        lyap[i] = (times[i] ** 2 / alpha**2) * core + breg_total(u) \
-            + 0.5 * float(np.sum((v - lam_star) ** 2))
-        if smoothed:
-            lxn = float(np.linalg.norm(lx))
-            lam_tilde = lx / lxn if lxn > 0 else np.zeros_like(lx)
-            window_upper[i] = obj_gap[i] + lxn
-        else:
-            lam_tilde = x / np.sqrt(q) if q > 1e-300 else np.zeros_like(x)
-            window_upper[i] = obj_gap[i] + np.sqrt(max(q, 0.0))
-        v0t = v0_of(lam_tilde)
-        window_bound[i] = alpha**2 * v0t / times[i] ** 2
-        lower_bound[i] = -alpha * np.sqrt(max(2.0 * v0t, 0.0)) / (times[i] * np.sqrt(beta))
-
-    v0 = float(lyap[0])
-    core_series = lag_gap + 4.0 * kappa * mu if smoothed else lag_gap
-    checks = [
-        _ratio_check("lagrangian_gap_rate", core_series, alpha**2 * v0 / times**2, slack, warnings),
-        _ratio_check("consensus_rate", feas, 2.0 * alpha**2 * v0 / (beta * times**2),
-                     slack, warnings),
-        _positivity("saddle_positivity", core_series, warnings),
-        _ratio_check("objective_window", window_upper, window_bound, slack, warnings,
-                     "residual-direction multiplier"),
-        BoundCheck("objective_lower",
-                   float(np.max((lower_bound * slack - 1e-10) - obj_gap)),
-                   bool(np.all(obj_gap >= lower_bound * slack - 1e-10)),
-                   "signed slack margin"),
-        _lyapunov_monotone(times, lyap, warnings),
-        _integral_plateau(times, times * core_series, "integral_gap_plateau",
-                          alpha > 2, warnings),
-        _integral_plateau(times, (np.ones_like(times) if smoothed else times) * feas,
-                          "integral_feasibility_plateau", True, warnings),
-    ]
-    for mir in problem.mirrors:
-        if getattr(mir, "clamp_triggered", False):
-            warnings.append("neg_entropy exponent clamp was triggered during this run")
-            break
-
-    return RunReport(
-        system=fieldspec.kind, times=times, primal_gap=np.abs(obj_gap), obj_gap=obj_gap,
-        lagrangian_gap=lag_gap, feasibility=feas, set_violation=setviol, lyapunov=lyap,
-        mu=mu, x_norm=x_norm, lambda_norm=lam_norm, v0=v0,
-        slope_gap=_safe_rate_fit(times, np.abs(obj_gap)),
-        slope_feasibility=_safe_rate_fit(times, feas),
-        kappa=kappa, bound_checks=checks, warnings=warnings,
-    )
-
-
-def _evaluate_demo(fieldspec, traj, ref, slack):
-    problem: MonotropicProblem = fieldspec.problem
-    params = fieldspec.params
-    alpha = params.alpha
-    smoothed = fieldspec.kind == "sadmd"
-    kappa = problem.kappa
-    times = traj.times
-    mu = _mu_values(params, times, smoothed)
-    warnings = list(traj.warnings)
-    lap = problem.lifted.matrix
-    a_bar, d = problem.a_bar, problem.d
-    x_star, lam_star, f_star = ref.x_star, ref.lam_star, ref.f_star
-    if ref.y_star is None:
-        raise ParameterError("monotropic diagnostics need y* from the reference solution")
-    y_star = ref.y_star
-    # the certificate requires a consensus multiplier
-    if float(np.max(np.abs(lap @ lam_star))) > 1e-6:
-        warnings.append("reference multiplier is not consensual; energy may be loose")
-
-    n = times.size
-    obj_gap = np.empty(n)
-    lag_gap = np.empty(n)
-    feas = np.empty(n)  # lam.L lam
-    setviol = np.empty(n)
-    lyap = np.empty(n)
-    x_norm = np.empty(n)
-    lam_norm = np.empty(n)
-
-    def breg_total(u):
-        total = 0.0
-        for mir, ui, xsi in zip(problem.mirrors, problem.blocks(u), problem.blocks(x_star)):
-            total += mir.bregman_to_point(xsi, ui)
-        return total
-
-    for i in range(n):
-        s = fieldspec.layout.split(traj.states[i])
-        x, u, lam, v = s["x"], s["u"], s["lam"], s["v"]
-        yv, z = s["y"], s["z"]
-        p = float(lam @ (lap @ lam))
-        feas[i] = max(p, 0.0)
-        setviol[i] = problem.set_violation(x)
-        x_norm[i] = float(np.linalg.norm(x))
-        lam_norm[i] = float(np.linalg.norm(lam))
-        fx = problem.f_exact(x)
-        obj_gap[i] = fx - f_star
-        resid_star = a_bar @ x - d - lap @ y_star
-        if smoothed:
-            sgap = problem.f_smooth(x, mu[i]) - problem.f_smooth(x_star, mu[i])
-            lag_gap[i] = sgap + lam_star @ resid_star + 0.5 * p
-            core = lag_gap[i] + 4.0 * kappa * mu[i]
-        else:
-            lag_gap[i] = fx - f_star + lam_star @ resid_star + 0.5 * p
-            core = lag_gap[i]
-        lyap[i] = (times[i] ** 2 / alpha**2) * core + breg_total(u) \
-            + 0.5 * float(np.sum((v - lam_star) ** 2)) + 0.5 * float(np.sum((z - y_star) ** 2))
-
-    v0 = float(lyap[0])
-    core_series = lag_gap + 4.0 * kappa * mu if smoothed else lag_gap
-    checks = [
-        _ratio_check("lagrangian_gap_rate", core_series, alpha**2 * v0 / times**2, slack, warnings),
-        _ratio_check("multiplier_consensus_rate", feas, 2.0 * alpha**2 * v0 / times**2,
-                     slack, warnings),
-        _positivity("saddle_positivity", core_series, warnings),
-        _lyapunov_monotone(times, lyap, warnings),
-        _integral_plateau(times, times * core_series, "integral_gap_plateau",
-                          alpha > 2, warnings),
-    ]
-
-    return RunReport(
-        system=fieldspec.kind, times=times, primal_gap=np.abs(obj_gap), obj_gap=obj_gap,
+        system=kind, times=times, primal_gap=np.abs(obj_gap), obj_gap=obj_gap,
         lagrangian_gap=lag_gap, feasibility=feas, set_violation=setviol, lyapunov=lyap,
         mu=mu, x_norm=x_norm, lambda_norm=lam_norm, v0=v0,
         slope_gap=_safe_rate_fit(times, np.abs(obj_gap)),
@@ -550,23 +313,8 @@ def _evaluate_demo(fieldspec, traj, ref, slack):
 def check_bounds(report: RunReport, params: SystemParams, v0: float,
                  slack: float = DEFAULT_SLACK) -> list:
     """Re-run the rate checks of a report against a given certificate value."""
-    times = report.times
     warnings: list = []
-    core = report.bound_core
-    out = [
-        _ratio_check("lagrangian_gap_rate", core, params.alpha**2 * v0 / times**2,
-                     slack, warnings),
-        _lyapunov_monotone(times, report.lyapunov, warnings),
-    ]
-    if report.system in ("apdmd", "apdpd", "sapdmd"):
-        out.append(_ratio_check("feasibility_rate", report.feasibility**2,
-                                2.0 * params.alpha**2 * v0 / (params.beta * times**2),
-                                slack, warnings))
-    elif report.system in ("adpdmd", "sadpdmd"):
-        out.append(_ratio_check("consensus_rate", report.feasibility,
-                                2.0 * params.alpha**2 * v0 / (params.beta * times**2),
-                                slack, warnings))
-    else:
-        out.append(_ratio_check("multiplier_consensus_rate", report.feasibility,
-                                2.0 * params.alpha**2 * v0 / times**2, slack, warnings))
-    return out
+    core = report.lagrangian_gap + 4.0 * report.kappa * report.mu
+    return _rate_checks(_FAMILIES[report.system], report.times, core, report.feasibility, v0,
+                        params.alpha, params.beta, slack, warnings) \
+        + [_lyapunov_monotone(report.times, report.lyapunov, warnings)]

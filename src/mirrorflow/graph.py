@@ -64,21 +64,6 @@ def from_edges(n: int, edges, weights=None) -> UndirectedGraph:
     return UndirectedGraph(n, a)
 
 
-def graph_from_spec(spec: dict) -> UndirectedGraph:
-    """Build a graph from a config dict like {"topology": "ring", "n": 4}
-    or {"n": 4, "edges": [[0, 1], ...], "weights": [...]}.
-    """
-    if "edges" in spec:
-        return from_edges(int(spec["n"]), [tuple(e) for e in spec["edges"]], spec.get("weights"))
-    topo = spec.get("topology", "ring")
-    n = int(spec["n"])
-    if topo == "ring":
-        return ring(n)
-    if topo == "path":
-        return path_graph(n)
-    raise ParameterError(f"unknown topology {topo!r}")
-
-
 def laplacian(g: UndirectedGraph) -> np.ndarray:
     deg = np.sum(g.adjacency, axis=1)
     return np.diag(deg) - g.adjacency

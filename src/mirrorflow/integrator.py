@@ -71,10 +71,6 @@ class Trajectory:
     steps_accepted: int = 0
     steps_rejected: int = 0
     warnings: list = field(default_factory=list)
-    mu: np.ndarray | None = None  # filled by smoothed runners
-
-    def state_at(self, index: int) -> np.ndarray:
-        return self.states[index]
 
 
 def geometric_grid(t0: float, tf: float, points_per_decade: int = 40) -> np.ndarray:
@@ -109,7 +105,7 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.dot(a, a)) or bool(np.isfinite(a).all())
 
 
-def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, tf):
+def _initial_step(t0, y0, f0, rel_tol, abs_tol, tf):
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = np.max(np.abs(y0) / scale)
     d1 = np.max(np.abs(f0) / scale)
@@ -156,7 +152,7 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
     if k0 is None:
         raise NumericError(f"vector field is not evaluable at the initial time t = {t0}")
 
-    h = config.initial_step or _initial_step(f, t0, y0, k0, config.rel_tol, config.abs_tol, tf)
+    h = config.initial_step or _initial_step(t0, y0, k0, config.rel_tol, config.abs_tol, tf)
     h = float(np.clip(h, config.min_step, min(config.max_step, tf - t0)))
 
     out_states = np.empty((sample_times.size, y0.size))

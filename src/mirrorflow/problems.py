@@ -18,6 +18,7 @@ programs whose optimality is certified by an explicit dual feasibility check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -113,8 +114,18 @@ class ConstrainedProblem:
     def is_smoothed(self) -> bool:
         return isinstance(self.objective, SmoothedObjective)
 
+    @property
+    def kappa(self) -> float:
+        return self.objective.kappa if self.is_smoothed else 0.0
+
     def f_exact(self, x) -> float:
         return self.objective.exact(x)
+
+    def f_smooth(self, x, mu: float) -> float:
+        return self.objective.value(x, mu)
+
+    def set_violation(self, x) -> float:
+        return self.mirror.set_violation(x)
 
     def grad(self, x, mu: float | None = None) -> np.ndarray:
         if self.is_smoothed:
@@ -122,51 +133,24 @@ class ConstrainedProblem:
         return self.objective.grad(x)
 
 
-def _check_agents(objectives, mirrors, graph):
-    if len(objectives) != graph.n or len(mirrors) != graph.n:
-        raise SizeError("need one objective and one mirror map per agent")
-    if not is_connected(graph):
-        raise ParameterError("communication graph must be connected")
-    smoothed = {isinstance(o, SmoothedObjective) for o in objectives}
-    if len(smoothed) > 1:
-        raise ParameterError("agents must be all smooth or all smoothed")
+class _AgentStack:
+    """What the two distributed problem shapes share: one objective and one
+    mirror map per agent of a connected graph, acting on the stacked x."""
 
-
-@dataclass(frozen=True)
-class ConsensusProblem:
-    objectives: tuple
-    mirrors: tuple
-    graph: UndirectedGraph
-    block_dim: int
-    lifted: LiftedLaplacian
-
-    def __post_init__(self):
-        _check_agents(self.objectives, self.mirrors, self.graph)
-        for m in self.mirrors:
-            if m.dim != self.block_dim:
-                raise SizeError("every agent block must have the common dimension")
-        # batched fast paths when every agent shares the same structure
+    def _check_agents(self):
+        if len(self.objectives) != self.graph.n or len(self.mirrors) != self.graph.n:
+            raise SizeError("need one objective and one mirror map per agent")
+        if not is_connected(self.graph):
+            raise ParameterError("communication graph must be connected")
+        if len({isinstance(o, SmoothedObjective) for o in self.objectives}) > 1:
+            raise ParameterError("agents must be all smooth or all smoothed")
+        # batched fast path when every agent holds a smoothed l1 norm
         object.__setattr__(self, "_l1_stacked",
                            all(getattr(o, "tag", "") == "l1" for o in self.objectives))
-        affine = all(isinstance(m, ProjectionMap) and m.projector.kind == "affine"
-                     for m in self.mirrors)
-        if affine:
-            a_stack = np.stack([m.projector.a for m in self.mirrors])
-            object.__setattr__(self, "_affine_stack", (
-                a_stack,
-                np.stack([m.projector.pinv for m in self.mirrors]),
-                np.stack([m.projector.b for m in self.mirrors]),
-            ))
-        else:
-            object.__setattr__(self, "_affine_stack", None)
 
     @property
     def n_agents(self) -> int:
         return self.graph.n
-
-    @property
-    def dim(self) -> int:
-        return self.n_agents * self.block_dim
 
     @property
     def is_smoothed(self) -> bool:
@@ -175,9 +159,6 @@ class ConsensusProblem:
     @property
     def kappa(self) -> float:
         return sum(o.kappa for o in self.objectives) if self.is_smoothed else 0.0
-
-    def blocks(self, x) -> np.ndarray:
-        return np.reshape(x, (self.n_agents, self.block_dim))
 
     def f_exact(self, x) -> float:
         return sum(o.exact(xi) for o, xi in zip(self.objectives, self.blocks(x)))
@@ -188,26 +169,55 @@ class ConsensusProblem:
     def grad_stacked(self, x, mu: float | None = None) -> np.ndarray:
         if self._l1_stacked and self.is_smoothed:
             return smooth_abs_grad(np.asarray(x, dtype=float), mu)
-        parts = []
-        for o, xi in zip(self.objectives, self.blocks(x)):
-            parts.append(o.grad(xi, mu) if self.is_smoothed else o.grad(xi))
-        return np.concatenate(parts)
-
-    def map_stacked(self, u) -> np.ndarray:
-        if self._affine_stack is not None:
-            a_s, pinv_s, b_s = self._affine_stack
-            ub = np.reshape(u, (self.n_agents, self.block_dim))
-            resid = b_s - np.einsum("kmn,kn->km", a_s, ub)
-            return (ub + np.einsum("knm,km->kn", pinv_s, resid)).ravel()
-        ub = self.blocks(u)
-        return np.concatenate([m.grad_conjugate(ui) for m, ui in zip(self.mirrors, ub)])
+        return np.concatenate([o.grad(xi, mu) if self.is_smoothed else o.grad(xi)
+                               for o, xi in zip(self.objectives, self.blocks(x))])
 
     def set_violation(self, x) -> float:
         return max(m.set_violation(xi) for m, xi in zip(self.mirrors, self.blocks(x)))
 
 
 @dataclass(frozen=True)
-class MonotropicProblem:
+class ConsensusProblem(_AgentStack):
+    objectives: tuple
+    mirrors: tuple
+    graph: UndirectedGraph
+    block_dim: int
+    lifted: LiftedLaplacian
+
+    def __post_init__(self):
+        self._check_agents()
+        for m in self.mirrors:
+            if m.dim != self.block_dim:
+                raise SizeError("every agent block must have the common dimension")
+
+    @cached_property
+    def _affine_stack(self):
+        """The agents' (A_i, pinv(A_i), b_i) stacked, when every local set is affine."""
+        if not all(isinstance(m, ProjectionMap) and m.projector.kind == "affine"
+                   for m in self.mirrors):
+            return None
+        projs = [m.projector for m in self.mirrors]
+        return (np.stack([p.a for p in projs]), np.stack([p.pinv for p in projs]),
+                np.stack([p.b for p in projs]))
+
+    @property
+    def dim(self) -> int:
+        return self.n_agents * self.block_dim
+
+    def blocks(self, x) -> np.ndarray:
+        return np.reshape(x, (self.n_agents, self.block_dim))
+
+    def map_stacked(self, u) -> np.ndarray:
+        ub = self.blocks(u)
+        if self._affine_stack is None:
+            return np.concatenate([m.grad_conjugate(ui) for m, ui in zip(self.mirrors, ub)])
+        a_s, pinv_s, b_s = self._affine_stack
+        resid = b_s - np.einsum("kmn,kn->km", a_s, ub)
+        return (ub + np.einsum("knm,km->kn", pinv_s, resid)).ravel()
+
+
+@dataclass(frozen=True)
+class MonotropicProblem(_AgentStack):
     objectives: tuple
     a_blocks: tuple      # A_i, each m x p_i
     d_blocks: tuple      # d_i in R^m
@@ -216,26 +226,21 @@ class MonotropicProblem:
     m: int               # coupled-resource dimension
 
     def __post_init__(self):
-        _check_agents(self.objectives, self.mirrors, self.graph)
+        self._check_agents()
         for a_i, d_i, mir in zip(self.a_blocks, self.d_blocks, self.mirrors):
             if a_i.shape[0] != self.m or d_i.shape[0] != self.m:
                 raise SizeError("every A_i must have m rows and every d_i length m")
             if mir.dim != a_i.shape[1]:
                 raise SizeError("mirror dims must match cols(A_i)")
-        object.__setattr__(self, "_l1_stacked",
-                           all(getattr(o, "tag", "") == "l1" for o in self.objectives))
         object.__setattr__(self, "_all_euclidean",
                            all(isinstance(m, EuclideanMap) for m in self.mirrors))
 
-    @property
-    def n_agents(self) -> int:
-        return self.graph.n
-
-    @property
+    # the derived data is built on first use and kept: the problem is frozen
+    @cached_property
     def p_sizes(self) -> tuple:
         return tuple(a.shape[1] for a in self.a_blocks)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(self.p_sizes)
 
@@ -243,15 +248,7 @@ class MonotropicProblem:
     def multiplier_dim(self) -> int:
         return self.n_agents * self.m
 
-    @property
-    def is_smoothed(self) -> bool:
-        return isinstance(self.objectives[0], SmoothedObjective)
-
-    @property
-    def kappa(self) -> float:
-        return sum(o.kappa for o in self.objectives) if self.is_smoothed else 0.0
-
-    @property
+    @cached_property
     def a_bar(self) -> np.ndarray:
         out = np.zeros((self.multiplier_dim, self.dim))
         row = col = 0
@@ -261,11 +258,11 @@ class MonotropicProblem:
             col += a_i.shape[1]
         return out
 
-    @property
+    @cached_property
     def d(self) -> np.ndarray:
         return np.concatenate(self.d_blocks)
 
-    @property
+    @cached_property
     def lifted(self) -> LiftedLaplacian:
         return lift(self.graph, self.m)
 
@@ -276,29 +273,12 @@ class MonotropicProblem:
             pos += p
         return out
 
-    def f_exact(self, x) -> float:
-        return sum(o.exact(xi) for o, xi in zip(self.objectives, self.blocks(x)))
-
-    def f_smooth(self, x, mu: float) -> float:
-        return sum(o.value(xi, mu) for o, xi in zip(self.objectives, self.blocks(x)))
-
-    def grad_stacked(self, x, mu: float | None = None) -> np.ndarray:
-        if self._l1_stacked and self.is_smoothed:
-            return smooth_abs_grad(np.asarray(x, dtype=float), mu)
-        parts = []
-        for o, xi in zip(self.objectives, self.blocks(x)):
-            parts.append(o.grad(xi, mu) if self.is_smoothed else o.grad(xi))
-        return np.concatenate(parts)
-
     def map_stacked(self, u) -> np.ndarray:
         if self._all_euclidean:
             return np.asarray(u, dtype=float)
         return np.concatenate(
             [m.grad_conjugate(ui) for m, ui in zip(self.mirrors, self.blocks(u))]
         )
-
-    def set_violation(self, x) -> float:
-        return max(m.set_violation(xi) for m, xi in zip(self.mirrors, self.blocks(x)))
 
 
 @dataclass(frozen=True)

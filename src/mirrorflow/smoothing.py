@@ -1,4 +1,4 @@
-"""Smooth surrogates for max{0,s} and |s|, their l1 aggregate, and the
+"""Smooth surrogates for max{0,s} and |s|, the smoothed l1 objective, and the
 decreasing mu(t) schedule used by the smoothed dynamics.
 
 Both scalar surrogates match the exact function outside a band of width
@@ -18,11 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import as_vector
-
-#: gradient Lipschitz band constants (ell such that grad is ell/mu-Lipschitz)
-ELL_MAX_ZERO = 0.5
-ELL_ABS = 2.0
 
 
 def _check_mu(mu: float) -> float:
@@ -37,14 +32,6 @@ def smooth_max_zero(s, mu: float):
     s = np.asarray(s, dtype=float)
     inner = (s + mu) ** 2 / (4.0 * mu)
     out = np.where(np.abs(s) > mu, np.maximum(s, 0.0), inner)
-    return float(out) if out.ndim == 0 else out
-
-
-def smooth_max_zero_grad(s, mu: float):
-    mu = _check_mu(mu)
-    s = np.asarray(s, dtype=float)
-    inner = (s + mu) / (2.0 * mu)
-    out = np.where(np.abs(s) > mu, (s > 0).astype(float), inner)
     return float(out) if out.ndim == 0 else out
 
 
@@ -72,12 +59,6 @@ def smooth_abs_grad(s, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
-def smooth_l1(x, mu: float):
-    """Smoothed ||x||_1: value and gradient; kappa = len(x)/4."""
-    x = as_vector(x, "l1 argument")
-    return float(np.sum(smooth_abs(x, mu))), smooth_abs_grad(x, mu)
-
-
 @dataclass(frozen=True)
 class MuSchedule:
     """mu(t) = mu0 * t^(-2 alpha) for t >= t0 > 0, with alpha >= 2."""
@@ -98,11 +79,6 @@ class MuSchedule:
         if t < self.t0:
             raise ParameterError(f"mu_at called with t = {t} < t0 = {self.t0}")
         return self.mu0 * float(t) ** (-2.0 * self.alpha)
-
-    def mu_dot(self, t: float) -> float:
-        if t < self.t0:
-            raise ParameterError(f"mu_dot called with t = {t} < t0 = {self.t0}")
-        return -2.0 * self.alpha * self.mu0 * float(t) ** (-2.0 * self.alpha - 1.0)
 
 
 @dataclass(frozen=True)

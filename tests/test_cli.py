@@ -1,6 +1,24 @@
 import json
 
-from mirrorflow.cli import main
+import pytest
+
+from mirrorflow.cli import _validate, main
+from mirrorflow.dynamics import SYSTEMS
+from mirrorflow.problems import PROBLEMS
+
+# (shape, smoothed) of every catalogue problem and of what each system accepts
+_PROBLEM_KINDS = {
+    "scalar": ("centralized", False), "logregress": ("centralized", False),
+    "nbp": ("centralized", True), "dis_log": ("consensus", False),
+    "d_bp_r": ("consensus", True), "consensus_quadratic": ("consensus", False),
+    "d_sp": ("monotropic", False), "d_bp_c": ("monotropic", True),
+}
+_SYSTEM_KINDS = {
+    "apdmd": ("centralized", False), "apdpd": ("centralized", False),
+    "sapdmd": ("centralized", True), "adpdmd": ("consensus", False),
+    "sadpdmd": ("consensus", True), "admd": ("monotropic", False),
+    "sadmd": ("monotropic", True),
+}
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -124,3 +142,34 @@ def test_shape_mismatch_is_usage_error(tmp_path):
                  "--alpha", "2", "--out", str(tmp_path / "x")])
     assert code == 2
     assert not (tmp_path / "x").exists()
+
+
+def test_compatibility_tables_cover_the_catalogue():
+    assert set(_PROBLEM_KINDS) == set(PROBLEMS)
+    assert set(_SYSTEM_KINDS) == set(SYSTEMS)
+
+
+@pytest.mark.parametrize("system", sorted(_SYSTEM_KINDS))
+@pytest.mark.parametrize("problem", sorted(_PROBLEM_KINDS))
+def test_validate_accepts_exactly_the_compatible_pairs(problem, system, tmp_path):
+    if _PROBLEM_KINDS[problem] == _SYSTEM_KINDS[system]:
+        _validate({"problem": problem, "system": system, "seed": 1})
+        return
+    out = tmp_path / "x"
+    code = main(["run", "--problem", problem, "--system", system, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_inline_spec_with_distributed_system_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({"problem_spec": {
+        "a": [[1.0, 1.0]], "b": [2.0],
+        "objective": {"kind": "quadratic", "q": [[0.5, 0.0], [0.0, 0.5]]},
+    }}))
+    for system in ("adpdmd", "admd"):
+        out = tmp_path / system
+        code = main(["run", "--config", str(cfg), "--system", system, "--out", str(out)])
+        assert code == 2
+        assert "expects a" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,16 +1,102 @@
 import numpy as np
 import pytest
 
-from mirrorflow.diagnostics import check_bounds, evaluate_run, lagrangian_gap, rate_fit
-from mirrorflow.dynamics import SystemParams, adpdmd_field, apdmd_field
+from mirrorflow.diagnostics import (
+    _lyapunov_monotone,
+    _positivity,
+    _ratio_check,
+    check_bounds,
+    evaluate_run,
+    lagrangian_gap,
+    rate_fit,
+)
+from mirrorflow.dynamics import (
+    SystemParams,
+    adpdmd_field,
+    apdmd_field,
+    apdmd_second_order_field,
+    build_field,
+    sapdmd_field,
+)
 from mirrorflow.errors import ParameterError
-from mirrorflow.integrator import integrate
+from mirrorflow.integrator import IntegratorConfig, integrate
 from mirrorflow.problems import (
     build_consensus_quadratic,
+    build_dbp_col,
+    build_dbp_row,
+    build_dist_qp,
     build_logistic_centralized,
+    build_nbp,
     build_scalar,
+    problem_from_spec,
     reference_solution,
 )
+from mirrorflow.smoothing import MuSchedule
+
+
+# Per-sample energies written out from the formulas, independently of the
+# evaluator: the oracle that test_standalone_lyapunov_functions_match_report
+# checks the report's V(t) against.
+
+def lyapunov_apdmd(t: float, state: dict, mirror, problem, ref, params) -> float:
+    """Energy of the centralized flow at one state.
+
+    (t^2/a^2) * gap + D(u against the dual point of x*) + ||v - lam*||^2 / 2,
+    where gap is the augmented-Lagrangian gap, with the surrogate value and
+    the 4 kappa mu(t) term replacing the exact objective for smoothed runs.
+    The dual Bregman term is evaluated through its primal-side limit, which
+    stays finite for boundary optima of the entropy maps.
+    """
+    x, u, v = state["x"], state["u"], state["v"]
+    r = problem.a @ x - problem.b
+    if problem.is_smoothed:
+        mu = params.mu.mu_at(t)
+        core = problem.objective.value(x, mu) - problem.objective.value(ref.x_star, mu) \
+            + ref.lam_star @ r + 0.5 * params.beta * (r @ r) \
+            + 4.0 * problem.objective.kappa * mu
+    else:
+        core = lagrangian_gap(problem, x, ref, params.beta)
+    return float((t**2 / params.alpha**2) * core
+                 + mirror.bregman_to_point(ref.x_star, u)
+                 + 0.5 * np.sum((v - ref.lam_star) ** 2))
+
+
+def lyapunov_adpdmd(t: float, state: dict, problem, ref, params) -> float:
+    """Energy of the consensus flow; blockwise Bregman terms per agent."""
+    x, u, v = state["x"], state["u"], state["v"]
+    lap = problem.lifted.matrix
+    lx = lap @ x
+    q = float(x @ lx)
+    if problem.is_smoothed:
+        mu = params.mu.mu_at(t)
+        core = problem.f_smooth(x, mu) - problem.f_smooth(ref.x_star, mu) \
+            + ref.lam_star @ lx + 0.5 * params.beta * q + 4.0 * problem.kappa * mu
+    else:
+        core = problem.f_exact(x) - ref.f_star + ref.lam_star @ lx + 0.5 * params.beta * q
+    breg = sum(m.bregman_to_point(xs, ui) for m, ui, xs in
+               zip(problem.mirrors, problem.blocks(u), problem.blocks(ref.x_star)))
+    return float((t**2 / params.alpha**2) * core + breg
+                 + 0.5 * np.sum((v - ref.lam_star) ** 2))
+
+
+def lyapunov_admd(t: float, state: dict, problem, ref, params) -> float:
+    """Energy of the monotropic flow, including the auxiliary-block term."""
+    x, u, v, z = state["x"], state["u"], state["v"], state["z"]
+    lam = state["lam"]
+    lap = problem.lifted.matrix
+    p = float(lam @ (lap @ lam))
+    resid_star = problem.a_bar @ x - problem.d - lap @ ref.y_star
+    if problem.is_smoothed:
+        mu = params.mu.mu_at(t)
+        core = problem.f_smooth(x, mu) - problem.f_smooth(ref.x_star, mu) \
+            + ref.lam_star @ resid_star + 0.5 * p + 4.0 * problem.kappa * mu
+    else:
+        core = problem.f_exact(x) - ref.f_star + ref.lam_star @ resid_star + 0.5 * p
+    breg = sum(m.bregman_to_point(xs, ui) for m, ui, xs in
+               zip(problem.mirrors, problem.blocks(u), problem.blocks(ref.x_star)))
+    return float((t**2 / params.alpha**2) * core + breg
+                 + 0.5 * np.sum((v - ref.lam_star) ** 2)
+                 + 0.5 * np.sum((z - ref.y_star) ** 2))
 
 
 def scalar_run(alpha=2.0, tf=100.0):
@@ -35,12 +121,12 @@ def test_rate_fit_requires_samples():
 def test_lagrangian_gap_identities():
     problem = build_scalar()
     ref = reference_solution(problem, 1e-10)
-    # at x = x* every term collapses regardless of the multiplier argument
-    assert abs(lagrangian_gap(problem, ref.x_star, None, ref, beta=1.0)) <= 1e-9
+    # at x = x* every term collapses
+    assert abs(lagrangian_gap(problem, ref.x_star, ref, beta=1.0)) <= 1e-9
     # beta = 0 reduces to f(x) - f* + lam*.(Ax - b)
     x = np.array([0.3])
     expected = 0.5 * 0.3**2 - 0.5 + ref.lam_star[0] * (0.3 - 1.0)
-    assert abs(lagrangian_gap(problem, x, None, ref, beta=0.0) - expected) <= 1e-9
+    assert abs(lagrangian_gap(problem, x, ref, beta=0.0) - expected) <= 1e-9
 
 
 def test_lagrangian_gap_matches_inline_formula_mid_trajectory():
@@ -120,44 +206,88 @@ def test_infinite_certificate_reported_with_warning():
     assert all(c.ok for c in tampered if "rate" in c.name)
 
 
-def test_standalone_lyapunov_functions_match_report():
-    from mirrorflow.diagnostics import lyapunov_admd, lyapunov_adpdmd, lyapunov_apdmd
-    from mirrorflow.dynamics import admd_field, sapdmd_field
-    from mirrorflow.problems import build_dist_qp, build_nbp
-    from mirrorflow.smoothing import MuSchedule
+# (problem, system, alpha, beta, mu0, t_f, integrator rel_tol, abs_tol) for every
+# first-order system; apdpd needs a projection map, hence the inline box problem
+_BOX_SPEC = {"a": [[1.0, 1.0]], "b": [2.0],
+             "objective": {"kind": "quadratic", "q": [[0.5, 0.0], [0.0, 0.5]]},
+             "set": {"kind": "box", "lo": [-5.0, -5.0], "hi": [5.0, 5.0]}}
+_ORACLE_RUNS = [
+    (build_logistic_centralized, "apdmd", 2.0, 1.0, None, 5.0, 1e-6, 1e-8),
+    (lambda: problem_from_spec(_BOX_SPEC), "apdpd", 3.0, 1.0, None, 5.0, 1e-6, 1e-8),
+    (lambda: build_nbp(1), "sapdmd", 2.0, 1.0, 0.1, 5.0, 1e-6, 1e-8),
+    (build_consensus_quadratic, "adpdmd", 3.0, 1.0, None, 5.0, 1e-6, 1e-8),
+    (lambda: build_dbp_row(1), "sadpdmd", 3.0, 1.0, 10.0, 3.0, 1e-4, 1e-6),
+    (lambda: build_dist_qp(1), "admd", 3.0, 1.0, None, 3.0, 1e-6, 1e-8),
+    (lambda: build_dbp_col(54), "sadmd", 3.0, 1.0, 1000.0, 3.0, 1e-4, 1e-6),
+]
 
-    # centralized smoothed
+
+def test_standalone_lyapunov_functions_match_report():
+    for build, system, alpha, beta, mu0, tf, rel, abs_tol in _ORACLE_RUNS:
+        problem = build()
+        ref = reference_solution(problem, 1e-8)
+        mu = MuSchedule(mu0, alpha) if mu0 is not None else None
+        params = SystemParams(alpha=alpha, beta=beta, mu=mu)
+        field = build_field(system, problem, params)
+        traj = integrate(field.rhs, field.initial_state, 1.0, tf,
+                         IntegratorConfig(rel_tol=rel, abs_tol=abs_tol))
+        rep = evaluate_run(field, traj, ref)
+        for i in (0, len(traj.times) // 2, -1):
+            s = field.layout.split(traj.states[i])
+            t = traj.times[i]
+            if system in ("apdmd", "apdpd", "sapdmd"):
+                val, tol = lyapunov_apdmd(t, s, problem.mirror, problem, ref, params), 1e-10
+            elif system in ("adpdmd", "sadpdmd"):
+                val, tol = lyapunov_adpdmd(t, s, problem, ref, params), 1e-10
+            else:
+                val, tol = lyapunov_admd(t, s, problem, ref, params), 1e-8
+            assert abs(val - rep.lyapunov[i]) <= tol * max(1.0, abs(val)), (system, i)
+
+
+def test_second_order_field_has_no_diagnostics():
+    problem = build_scalar()
+    ref = reference_solution(problem, 1e-10)
+    field = apdmd_second_order_field(problem, SystemParams(alpha=2.0))
+    traj = integrate(field.rhs, field.initial_state, 1.0, 2.0)
+    with pytest.raises(ParameterError, match="no diagnostics for system kind 'apdmd2'"):
+        evaluate_run(field, traj, ref)
+
+
+def test_centralized_lower_checks_hold_when_multiplier_norm_exceeds_one():
+    # on nbp ||lam*|| = 3.27; the lower checks follow from the saddle
+    # inequality f - f* >= -||lam*|| ||Ax - b||, so they must hold wherever
+    # the saddle quantity is nonnegative
     problem = build_nbp(1)
     ref = reference_solution(problem, 1e-8)
-    params = SystemParams(alpha=2.0, beta=1.0, mu=MuSchedule(0.1, 2.0))
-    field = sapdmd_field(problem, params)
-    traj = integrate(field.rhs, field.initial_state, 1.0, 5.0)
+    assert np.linalg.norm(ref.lam_star) > 3.0
+    field = sapdmd_field(problem, SystemParams(alpha=2.0, beta=10.0, mu=MuSchedule(0.1, 2.0)))
+    traj = integrate(field.rhs, field.initial_state, 1.0, 20.0)
     rep = evaluate_run(field, traj, ref)
-    for i in (0, len(traj.times) // 2, -1):
-        s = field.layout.split(traj.states[i])
-        val = lyapunov_apdmd(traj.times[i], s, problem.mirror, problem, ref, params)
-        assert abs(val - rep.lyapunov[i]) <= 1e-10 * max(1.0, abs(val))
+    assert rep.check("saddle_positivity").ok
+    assert rep.check("objective_window_lower").ok
+    assert rep.check("objective_lower").ok
 
-    # consensus smooth
-    problem = build_consensus_quadratic()
-    ref = reference_solution(problem, 1e-9)
-    params = SystemParams(alpha=3.0, beta=1.0)
-    field = adpdmd_field(problem, params)
-    traj = integrate(field.rhs, field.initial_state, 1.0, 5.0)
-    rep = evaluate_run(field, traj, ref)
-    i = len(traj.times) // 2
-    s = field.layout.split(traj.states[i])
-    val = lyapunov_adpdmd(traj.times[i], s, problem, ref, params)
-    assert abs(val - rep.lyapunov[i]) <= 1e-10 * max(1.0, abs(val))
 
-    # monotropic smooth
-    problem = build_dist_qp(1)
-    ref = reference_solution(problem, 1e-8)
-    params = SystemParams(alpha=3.0, beta=1.0)
-    field = admd_field(problem, params)
-    traj = integrate(field.rhs, field.initial_state, 1.0, 3.0)
-    rep = evaluate_run(field, traj, ref)
-    i = len(traj.times) // 2
-    s = field.layout.split(traj.states[i])
-    val = lyapunov_admd(traj.times[i], s, problem, ref, params)
-    assert abs(val - rep.lyapunov[i]) <= 1e-8 * max(1.0, abs(val))
+_TIMES = np.array([1.0, 2.0, 3.0, 4.0])
+_ONE_NAN = np.array([1.0, 0.5, np.nan, 0.25])
+
+
+@pytest.mark.parametrize("check, first_bad", [
+    (lambda s: _ratio_check("r", _TIMES, s, np.ones(4), 1.05, []), "3"),
+    (lambda s: _ratio_check("r", _TIMES, np.zeros(4), s, 1.05, []), "3"),
+    (lambda s: _ratio_check("r", _TIMES, np.zeros(4), np.full(4, np.nan), 1.05, []), "1"),
+    (lambda s: _ratio_check("r", _TIMES, np.zeros(4), np.where(np.isnan(s), -np.inf, 1.0),
+                            1.05, []), "3"),
+    (lambda s: _lyapunov_monotone(_TIMES, s, []), "3"),
+    (lambda s: _lyapunov_monotone(_TIMES, np.where(np.isnan(s), np.inf, s), []), None),
+    (lambda s: _positivity("p", _TIMES, s), "3"),
+    (lambda s: _positivity("p", _TIMES, np.full(4, np.nan)), "1"),
+], ids=["ratio-quantity", "ratio-bound", "ratio-all-nan-bound", "ratio-neg-inf-bound",
+        "lyapunov", "lyapunov-pos-inf-passes", "positivity", "positivity-all-nan"])
+def test_checks_fail_on_nan_and_name_the_first_bad_sample(check, first_bad):
+    result = check(_ONE_NAN.copy())
+    if first_bad is None:  # +inf is the infinite certificate: it passes trivially
+        assert result.ok
+        return
+    assert not result.ok
+    assert result.note == f"NaN or -inf at t = {first_bad}"

@@ -6,7 +6,6 @@ from mirrorflow.graph import (
     UndirectedGraph,
     consensus_residual,
     from_edges,
-    graph_from_spec,
     is_connected,
     laplacian,
     lift,
@@ -84,11 +83,9 @@ def test_residual_size_check():
         consensus_residual(lifted, np.zeros(5))
 
 
-def test_graph_from_spec():
-    g = graph_from_spec({"topology": "ring", "n": 4})
-    assert g.n == 4 and is_connected(g)
-    g2 = graph_from_spec({"n": 3, "edges": [[0, 1], [1, 2]]})
-    assert is_connected(g2)
+def test_connectivity_of_rings_and_edge_lists():
+    assert is_connected(ring(4))
+    assert is_connected(from_edges(3, [(0, 1), (1, 2)]))
     assert not is_connected(from_edges(3, [(0, 1)]))
 
 

@@ -7,9 +7,7 @@ from mirrorflow.smoothing import (
     MuSchedule,
     smooth_abs,
     smooth_abs_grad,
-    smooth_l1,
     smooth_max_zero,
-    smooth_max_zero_grad,
     smoothed_l1_objective,
 )
 
@@ -60,8 +58,6 @@ def test_gradient_consistency_as_mu_vanishes():
         g = smooth_abs_grad(s, 1e-9)
         assert abs(g - np.sign(s)) <= 1e-12
     assert smooth_abs_grad(0.0, 1e-9) == 0.0
-    assert smooth_max_zero_grad(1.0, 1e-9) == 1.0
-    assert smooth_max_zero_grad(-1.0, 1e-9) == 0.0
 
 
 def test_abs_grad_bitwise_equals_piecewise_form():
@@ -98,9 +94,7 @@ def test_gradients_match_finite_differences():
         s = float(3.0 * rng.normal())
         mu = float(0.5 + rng.uniform())
         fd_abs = (smooth_abs(s + eps, mu) - smooth_abs(s - eps, mu)) / (2 * eps)
-        fd_max = (smooth_max_zero(s + eps, mu) - smooth_max_zero(s - eps, mu)) / (2 * eps)
         assert abs(fd_abs - smooth_abs_grad(s, mu)) <= 1e-6
-        assert abs(fd_max - smooth_max_zero_grad(s, mu)) <= 1e-6
 
 
 def test_mu_lipschitz_in_mu():
@@ -122,26 +116,6 @@ def test_convexity_midpoint():
         assert smooth_max_zero(mid, mu) <= 0.5 * (smooth_max_zero(a, mu) + smooth_max_zero(b, mu)) + 1e-12
 
 
-def test_smooth_l1_values():
-    val, grad = smooth_l1(np.array([1.0, -1.0]), 0.5)
-    assert val == 2.0
-    assert np.allclose(grad, [1.0, -1.0])
-    n = 5
-    val0, _ = smooth_l1(np.zeros(n), 0.2)
-    assert abs(val0 - n * 0.2 / 4) <= 1e-14
-
-
-def test_smooth_l1_sandwich_random():
-    rng = SeededRng(21)
-    n = 8
-    for _ in range(500):
-        x = 2.0 * rng.normal(n)
-        mu = float(rng.uniform() + 1e-3)
-        val, _ = smooth_l1(x, mu)
-        err = val - np.sum(np.abs(x))
-        assert -1e-12 <= err <= n / 4 * mu + 1e-12
-
-
 def test_smoothed_objective_kappa_bound():
     obj = smoothed_l1_objective(6)
     rng = SeededRng(2)
@@ -158,7 +132,6 @@ def test_mu_schedule():
     ts = np.linspace(1.0, 30.0, 100)
     vals = [sched.mu_at(t) for t in ts]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-    assert all(sched.mu_dot(t) <= 0 for t in ts)
     with pytest.raises(ParameterError):
         sched.mu_at(0.5)
     with pytest.raises(ParameterError):
