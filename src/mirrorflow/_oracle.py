@@ -8,13 +8,15 @@ constraint violation.
 L1 problems: solved exactly as linear programs (HiGHS) and certified by an
 explicit dual-feasibility check of the subgradient conditions, so the
 optimum never depends on any iterative tolerance of ours.
+
+scipy is imported only inside the LP routes (``_min_l1`` and
+``solve_consensus_l1``): a process that solves only smooth problems never
+loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import linprog
 
 from .errors import OracleError
 from .problems import (
@@ -24,6 +26,7 @@ from .problems import (
     ReferenceSolution,
     euclidean_projector,
 )
+from .projections import Box
 
 _MAX_OUTER = 400
 _MAX_INNER = 4000
@@ -101,8 +104,16 @@ def solve_constrained_smooth(problem: ConstrainedProblem, tol: float) -> Referen
 
 
 def _block_projector(problem):
-    """Euclidean projection of a stacked x onto the agents' sets, block by block."""
-    projs = [euclidean_projector(m).project for m in problem.mirrors]
+    """Euclidean projection of a stacked x onto the agents' sets.
+
+    When every set is a box, one clip onto the stacked box: clipping acts
+    entry by entry, so this equals the block-by-block projection bit for bit.
+    """
+    sets = [euclidean_projector(m) for m in problem.mirrors]
+    if all(isinstance(s, Box) for s in sets):
+        return Box(np.concatenate([s.lo for s in sets]),
+                   np.concatenate([s.hi for s in sets])).project
+    projs = [s.project for s in sets]
     return lambda z: np.concatenate([p(zi) for p, zi in zip(projs, problem.blocks(z))])
 
 
@@ -155,6 +166,8 @@ def _min_l1(a, b, nonnegative: bool):
     0 in d||x||_1 + a^T lam (restricted to the orthant's normal cone in the
     nonnegative case).
     """
+    from scipy.optimize import linprog
+
     m, n = a.shape
     if nonnegative:
         res = linprog(c=np.ones(n), A_eq=a, b_eq=b, bounds=[(0, None)] * n, method="highs")
@@ -198,6 +211,9 @@ def solve_constrained_l1(problem: ConstrainedProblem, tol: float) -> ReferenceSo
 def solve_consensus_l1(problem: ConsensusProblem, tol: float) -> ReferenceSolution:
     """Stack the per-agent affine sets, solve the centralized LP, then find a
     consensus multiplier by a dual feasibility LP over subgradient witnesses."""
+    from scipy.linalg import block_diag
+    from scipy.optimize import linprog
+
     mirrors = problem.mirrors
     a_rows, b_rows = [], []
     for mir in mirrors:

@@ -21,13 +21,14 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance
-from .dynamics import SYSTEMS, SystemParams, build_field
+from .dynamics import REQUIRED_MAP, SYSTEMS, SystemParams, build_field
 from .errors import MirrorflowError, UsageError
 from .integrator import IntegratorConfig, geometric_grid, integrate
 from .problems import PROBLEMS, problem_from_spec, reference_solution
@@ -89,8 +90,8 @@ def _load_config(args) -> dict:
 
 
 def _validate(cfg: dict):
-    """Build the problem once and check that the system accepts its shape and
-    smoothness, before any output is written."""
+    """Build the problem once and check that the system accepts its shape,
+    smoothness and mirror map, before any output is written."""
     system, name = cfg["system"], cfg.get("problem")
     if "problem_spec" not in cfg and not name:
         raise UsageError("no problem given: use --problem or a config problem_spec")
@@ -106,6 +107,10 @@ def _validate(cfg: dict):
     if not isinstance(problem, ptype):
         raise UsageError(f"system {system!r} expects a {ptype.__name__}; "
                          f"problem {name!r} is a {type(problem).__name__}")
+    map_type = REQUIRED_MAP.get(system)
+    if map_type and not isinstance(problem.mirror, map_type):
+        raise UsageError(f"system {system!r} needs a {map_type.__name__} mirror map; "
+                         f"problem {name!r} uses {type(problem.mirror).__name__}")
 
 
 def _build_problem(cfg: dict):
@@ -225,9 +230,11 @@ def cmd_run(args) -> int:
             summary = job.result()
             print(f"alpha={a:g}: ok (v0={summary['v0']:.4g}, "
                   f"slope={summary['slope_gap']:.3f})")
-        except MirrorflowError as exc:
+        except Exception as exc:  # one failed job must not hide the others' status
             failures += 1
-            print(f"alpha={a:g}: FAILED ({exc})")
+            print(f"alpha={a:g}: FAILED ({type(exc).__name__}: {exc})")
+            if not isinstance(exc, MirrorflowError):  # a defect: keep where it happened
+                traceback.print_exception(exc, file=sys.stderr)
     return 1 if failures else 0
 
 

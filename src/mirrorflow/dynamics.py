@@ -42,6 +42,9 @@ class SystemParams:
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if not self.t0 > 0:
             raise ParameterError(f"t0 must be positive, got {self.t0}")
+        if self.mu is not None and self.mu.t0 > self.t0:
+            raise ParameterError(f"the mu schedule starts at t0 = {self.mu.t0}, "
+                                 f"after the system's t0 = {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ def apdmd_field(problem: ConstrainedProblem, params: SystemParams) -> VectorFiel
 
 def apdpd_field(problem: ConstrainedProblem, params: SystemParams) -> VectorField:
     """The projection specialization: grad_conj is the Euclidean projection."""
-    if not isinstance(problem.mirror, ProjectionMap):
+    if not isinstance(problem.mirror, REQUIRED_MAP["apdpd"]):
         raise ParameterError("apdpd requires a projection mirror map")
     _require_smooth_objective(problem, "apdpd")
     return _centralized_field(problem, params, "apdpd", smoothed=False)
@@ -332,6 +335,9 @@ SYSTEMS = {
     "sadmd": (sadmd_field, MonotropicProblem, True),
 }
 
+# systems that also need one class of mirror map, beyond the problem shape
+REQUIRED_MAP = {"apdpd": ProjectionMap}
+
 
 def build_field(system: str, problem, params: SystemParams) -> VectorField:
     if system not in SYSTEMS:
@@ -341,4 +347,8 @@ def build_field(system: str, problem, params: SystemParams) -> VectorField:
         raise ParameterError(
             f"system {system!r} expects a {ptype.__name__}, got {type(problem).__name__}"
         )
+    # a clamp flag reports on one run: the run of the field built here
+    mirrors = (problem.mirror,) if isinstance(problem, ConstrainedProblem) else problem.mirrors
+    for mirror in mirrors:
+        mirror.clamp_triggered = False
     return builder(problem, params)

@@ -42,7 +42,7 @@ class MirrorMap:
 
     def __init__(self, dim: int):
         self.dim = int(dim)
-        self.clamp_triggered = False  # sticky, set by clamping paths
+        self.clamp_triggered = False  # set by clamping paths, cleared by build_field
 
     def _check(self, u, name="dual point") -> np.ndarray:
         u = as_vector(u, name)

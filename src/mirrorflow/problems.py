@@ -77,12 +77,13 @@ def logistic_objective(w) -> SmoothObjective:
 def quadratic_objective(q) -> SmoothObjective:
     """f(x) = x.Q x for a symmetric PSD Q."""
     q = as_matrix(q, "quadratic matrix")
+    q_sym = q + q.T
 
     def value(x):
         return float(x @ q @ x)
 
     def grad(x):
-        return (q + q.T) @ x
+        return q_sym @ x
 
     return SmoothObjective(value, grad, lipschitz=2.0 * float(np.linalg.norm(q, 2)))
 
@@ -167,9 +168,10 @@ class _AgentStack:
         return sum(o.value(xi, mu) for o, xi in zip(self.objectives, self.blocks(x)))
 
     def grad_stacked(self, x, mu: float | None = None) -> np.ndarray:
-        if self._l1_stacked and self.is_smoothed:
+        smoothed = self.is_smoothed
+        if self._l1_stacked and smoothed:
             return smooth_abs_grad(np.asarray(x, dtype=float), mu)
-        return np.concatenate([o.grad(xi, mu) if self.is_smoothed else o.grad(xi)
+        return np.concatenate([o.grad(xi, mu) if smoothed else o.grad(xi)
                                for o, xi in zip(self.objectives, self.blocks(x))])
 
     def set_violation(self, x) -> float:

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mirrorflow
+from mirrorflow import cli
 from mirrorflow.cli import _validate, main
 from mirrorflow.dynamics import SYSTEMS
-from mirrorflow.problems import PROBLEMS
+from mirrorflow.errors import UsageError
+from mirrorflow.problems import PROBLEMS, reference_solution
 
 # (shape, smoothed) of every catalogue problem and of what each system accepts
 _PROBLEM_KINDS = {
@@ -19,6 +26,8 @@ _SYSTEM_KINDS = {
     "sadpdmd": ("consensus", True), "admd": ("monotropic", False),
     "sadmd": ("monotropic", True),
 }
+# systems that also need a projection mirror map; no catalogue problem has one
+_PROJECTION_SYSTEMS = {"apdpd"}
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -152,7 +161,7 @@ def test_compatibility_tables_cover_the_catalogue():
 @pytest.mark.parametrize("system", sorted(_SYSTEM_KINDS))
 @pytest.mark.parametrize("problem", sorted(_PROBLEM_KINDS))
 def test_validate_accepts_exactly_the_compatible_pairs(problem, system, tmp_path):
-    if _PROBLEM_KINDS[problem] == _SYSTEM_KINDS[system]:
+    if _PROBLEM_KINDS[problem] == _SYSTEM_KINDS[system] and system not in _PROJECTION_SYSTEMS:
         _validate({"problem": problem, "system": system, "seed": 1})
         return
     out = tmp_path / "x"
@@ -173,3 +182,63 @@ def test_inline_spec_with_distributed_system_is_usage_error(tmp_path, capsys):
         assert code == 2
         assert "expects a" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_apdpd_needs_a_projection_map():
+    with pytest.raises(UsageError, match="needs a ProjectionMap mirror map"):
+        _validate({"problem": "scalar", "system": "apdpd", "seed": 1})
+    spec = {"a": [[1.0, 1.0]], "b": [2.0],
+            "objective": {"kind": "quadratic", "q": [[0.5, 0.0], [0.0, 0.5]]},
+            "set": {"kind": "box", "lo": [-5.0, -5.0], "hi": [5.0, 5.0]}}
+    _validate({"problem_spec": spec, "system": "apdpd"})
+
+
+def test_sweep_reports_every_job_when_one_raises(tmp_path, monkeypatch, capsys):
+    real = cli.run_single
+
+    def flaky(cfg, out_dir):
+        if cfg["alpha"] == 3.0:
+            raise RuntimeError("boom")
+        return real(cfg, out_dir)
+
+    monkeypatch.setattr(cli, "run_single", flaky)
+    monkeypatch.setenv("MIRRORFLOW_THREADS", "2")
+    out = tmp_path / "sweep"
+    code = main(["run", "--problem", "scalar", "--system", "apdmd",
+                 "--alpha", "2,3", "--tf", "10", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "alpha=2: ok" in captured.out
+    assert "alpha=3: FAILED (RuntimeError: boom)" in captured.out
+    assert "in flaky" in captured.err  # the traceback of the unexpected error
+    assert (out / "alpha_2" / "summary.json").exists()
+
+
+_FRESH_RUN = """
+import json, sys
+from mirrorflow.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+@pytest.mark.parametrize("problem, system, extra, solves_lp", [
+    ("scalar", "apdmd", [], False),
+    ("nbp", "sapdmd", ["--beta", "10"], True),
+])
+def test_scipy_is_loaded_only_to_solve_an_lp(problem, system, extra, solves_lp, tmp_path):
+    src = str(Path(mirrorflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    argv = ["run", "--problem", problem, "--system", system, "--tf", "5",
+            "--out", str(out), *extra]
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert ("scipy.optimize" in result["scipy"]) == solves_lp
+    if not solves_lp:
+        assert result["scipy"] == []
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["f_star"] == reference_solution(PROBLEMS[problem](1)).f_star

@@ -268,6 +268,17 @@ def test_centralized_lower_checks_hold_when_multiplier_norm_exceeds_one():
     assert rep.check("objective_lower").ok
 
 
+def test_clamp_flag_of_an_earlier_run_does_not_warn():
+    problem = build_nbp(1)
+    ref = reference_solution(problem, 1e-8)
+    problem.mirror.clamp_triggered = True  # as an earlier run on this problem left it
+    field = build_field("sapdmd", problem,
+                        SystemParams(alpha=2.0, beta=10.0, mu=MuSchedule(0.1, 2.0)))
+    rep = evaluate_run(field, integrate(field.rhs, field.initial_state, 1.0, 5.0), ref)
+    assert not problem.mirror.clamp_triggered
+    assert not any("clamp" in w for w in rep.warnings)
+
+
 _TIMES = np.array([1.0, 2.0, 3.0, 4.0])
 _ONE_NAN = np.array([1.0, 0.5, np.nan, 0.25])
 

@@ -418,3 +418,10 @@ def test_trajectory_feasibility_all_systems():
         ref = ref_of(problem, 1e-8)
         rep = evaluate_run(field, traj, ref)
         assert rep.feasibility_max_violation <= 1e-6, (system, rep.feasibility_max_violation)
+
+
+def test_params_reject_mu_schedule_starting_after_t0():
+    with pytest.raises(ParameterError, match="mu schedule starts at t0 = 1.0"):
+        SystemParams(alpha=2.0, t0=0.5, mu=MuSchedule(0.1, 2.0, t0=1.0))
+    # a schedule that starts earlier covers the whole run
+    SystemParams(alpha=2.0, t0=2.0, mu=MuSchedule(0.1, 2.0, t0=1.0))

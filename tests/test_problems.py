@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mirrorflow.errors import ParameterError
+from mirrorflow._oracle import _block_projector
+from mirrorflow.errors import NumericError, ParameterError
 from mirrorflow.problems import (
     PROBLEMS,
     build_consensus_quadratic,
@@ -133,3 +134,20 @@ def test_mixed_smoothness_rejected():
     objs = (smoothed_l1_objective(4),) + p.objectives[1:]
     with pytest.raises(ParameterError):
         ConsensusProblem(objs, p.mirrors, p.graph, 4, p.lifted)
+
+
+def test_stacked_box_projection_is_bitwise_the_per_agent_projection():
+    problem = build_dist_qp(1)
+    boxes = [m.projector for m in problem.mirrors]
+    lo = np.concatenate([b.lo for b in boxes])
+    hi = np.concatenate([b.hi for b in boxes])
+    proj = _block_projector(problem)
+    rng = np.random.default_rng(7)
+    for z in [*rng.uniform(lo, hi, (20, lo.size)),               # inside every box
+              *rng.uniform(lo - 3.0, hi + 3.0, (200, lo.size)),  # inside and outside
+              rng.normal(0.0, 1e6, lo.size)]:
+        want = np.concatenate([b.project(zi) for b, zi in zip(boxes, problem.blocks(z))])
+        assert np.array_equal(proj(z), want)
+    with pytest.raises(NumericError):  # the stacked path still validates its input
+        proj(np.full(lo.size, np.nan))
+
