@@ -7,20 +7,7 @@ of centralized and distributed experiments at desk scale.
 """
 
 from .diagnostics import BoundCheck, RunReport, check_bounds, evaluate_run, lagrangian_gap, rate_fit
-from .dynamics import (
-    SYSTEMS,
-    SystemParams,
-    VectorField,
-    admd_field,
-    adpdmd_field,
-    apdmd_field,
-    apdmd_second_order_field,
-    apdpd_field,
-    build_field,
-    sadmd_field,
-    sadpdmd_field,
-    sapdmd_field,
-)
+from .dynamics import SYSTEMS, SystemParams, VectorField, apdmd_second_order_field, build_field
 from .graph import LiftedLaplacian, UndirectedGraph, consensus_residual, laplacian, lift, ring
 from .integrator import IntegratorConfig, Trajectory, geometric_grid, integrate
 from .mirror_maps import (
@@ -46,7 +33,6 @@ from .problems import (
     build_logistic_centralized,
     build_nbp,
     build_scalar,
-    feasible_point,
     reference_solution,
 )
 from .projections import AffineSet, Box, HalfSpace, PositiveOrthant, Projector, Simplex, Sphere

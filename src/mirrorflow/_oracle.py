@@ -53,7 +53,7 @@ def _fista(grad, lip, proj, x0, inner_tol, max_iter=_MAX_INNER):
     return x
 
 
-def _alm(grad_f, lip_f, proj, a, b, tol, x0, require_stationarity=True):
+def _alm(grad_f, lip_f, proj, a, b, tol, x0):
     """min f over the projector's set subject to a x = b."""
     sig2 = float(np.linalg.norm(a, 2)) ** 2
     beta = 10.0
@@ -74,7 +74,7 @@ def _alm(grad_f, lip_f, proj, a, b, tol, x0, require_stationarity=True):
         feas = float(np.max(np.abs(r))) if r.size else 0.0
         g = grad_f(x) + a.T @ lam
         stat = float(np.max(np.abs(x - proj(x - g))))
-        kkt = max(stat, feas) if require_stationarity else feas
+        kkt = max(stat, feas)
         if kkt <= tol:
             return x, lam, kkt
         if feas > 0.25 * feas_prev:
@@ -86,14 +86,6 @@ def _alm(grad_f, lip_f, proj, a, b, tol, x0, require_stationarity=True):
 # --------------------------------------------------------------------------
 # smooth routes
 # --------------------------------------------------------------------------
-
-def feasibility_point(problem: ConstrainedProblem, tol: float = 1e-10) -> np.ndarray:
-    proj = euclidean_projector(problem.mirror).project
-    zero_grad = lambda z: np.zeros_like(z)
-    x, _, _ = _alm(zero_grad, 0.0, proj, problem.a, problem.b, tol,
-                   np.zeros(problem.dim), require_stationarity=False)
-    return x
-
 
 def solve_constrained_smooth(problem: ConstrainedProblem, tol: float) -> ReferenceSolution:
     proj = euclidean_projector(problem.mirror).project

@@ -17,7 +17,7 @@ import numpy as np
 from . import dynamics as _dyn
 from .diagnostics import check_bounds, evaluate_run, rate_fit
 from .dynamics import SystemParams, build_field
-from .integrator import IntegratorConfig, geometric_grid, integrate
+from .integrator import IntegratorConfig, integrate
 from .mirror_maps import EuclideanMap, ItakuraSaitoMap, NegEntropyMap, SimplexEntropyMap
 from .numerics import SeededRng
 from .problems import (
@@ -61,17 +61,12 @@ class _Checker:
         self.ok = self.ok and bool(condition)
 
 
-def _run(problem, system, alpha, beta, tf, mu0=None, rel=1e-6, abs_tol=1e-8,
-         y0=None, samples=None):
+def _run(problem, system, alpha, beta, tf, mu0=None, rel=1e-6, abs_tol=1e-8):
     mu = MuSchedule(mu0, alpha) if mu0 is not None else None
     params = SystemParams(alpha=alpha, beta=beta, mu=mu)
     fld = build_field(system, problem, params)
     cfg = IntegratorConfig(rel_tol=rel, abs_tol=abs_tol, max_steps=3_000_000)
-    if samples is None:
-        samples = geometric_grid(1.0, tf, 40)
-    traj = integrate(fld.rhs, y0 if y0 is not None else fld.initial_state,
-                     1.0, tf, cfg, sample_times=samples)
-    return fld, traj
+    return fld, integrate(fld.rhs, fld.initial_state, 1.0, tf, cfg)
 
 
 def criterion_1() -> CriterionResult:
@@ -374,7 +369,7 @@ def criterion_8() -> CriterionResult:
     for mirror in (EuclideanMap(3), NegEntropyMap(3)):
         problem = ConstrainedProblem(obj, a, b, mirror)
         params = SystemParams(alpha=2.0, beta=1.0)
-        f1 = _dyn.apdmd_field(problem, params)
+        f1 = build_field("apdmd", problem, params)
         f2 = _dyn.apdmd_second_order_field(problem, params)
         cfg = IntegratorConfig(rel_tol=rel, abs_tol=abs_tol)
         t1 = integrate(f1.rhs, f1.initial_state, 1.0, 20.0, cfg, sample_times=samples)
@@ -396,8 +391,8 @@ def criterion_9() -> CriterionResult:
 
     # poison the field builders so any oracle dependence on the dynamics
     # would fail loudly
-    names = ["apdmd_field", "apdpd_field", "sapdmd_field", "adpdmd_field",
-             "sadpdmd_field", "admd_field", "sadmd_field", "build_field"]
+    names = ["build_field", "_centralized_field", "_consensus_field", "_demo_field",
+             "apdmd_second_order_field"]
     saved = {n: getattr(_dyn, n) for n in names}
 
     def poisoned(*_a, **_k):
@@ -427,12 +422,11 @@ def negative_control() -> CriterionResult:
     problem = build_consensus_quadratic(edge_weight=10.0)
     ref = reference_solution(problem, 1e-9)
     params = SystemParams(alpha=2.0, beta=1.0)
-    fld = _dyn.adpdmd_field(problem, params)
+    fld = build_field("adpdmd", problem, params)
     d = np.array([3.0, 0.0, -3.0, 0.0])
     y0 = fld.layout.pack(x=ref.x_star + d, u=ref.x_star + d,
                          lam=np.zeros(4), v=np.zeros(4))
-    traj = integrate(fld.rhs, y0, 1.0, 10.0, IntegratorConfig(),
-                     sample_times=geometric_grid(1.0, 10.0, 40))
+    traj = integrate(fld.rhs, y0, 1.0, 10.0, IntegratorConfig())
     rep = evaluate_run(fld, traj, ref)
     honest = rep.check("consensus_rate")
     c.expect(honest.ok and honest.max_ratio > 0.5,

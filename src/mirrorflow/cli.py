@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .dynamics import REQUIRED_MAP, SYSTEMS, SystemParams, build_field
-from .errors import MirrorflowError, UsageError
-from .integrator import IntegratorConfig, geometric_grid, integrate
+from .dynamics import SYSTEMS, SystemParams, build_field, check_params, mismatch
+from .errors import MirrorflowError, ParameterError, UsageError
+from .integrator import IntegratorConfig, integrate
 from .problems import PROBLEMS, problem_from_spec, reference_solution
 from .smoothing import MuSchedule
 from .diagnostics import evaluate_run
@@ -89,28 +89,26 @@ def _load_config(args) -> dict:
     return merged
 
 
-def _validate(cfg: dict):
-    """Build the problem once and check that the system accepts its shape,
-    smoothness and mirror map, before any output is written."""
-    system, name = cfg["system"], cfg.get("problem")
+def _validate(cfg: dict) -> list:
+    """Build the problem once and check that the system accepts it and every
+    alpha's settings, before any output is written; returns the alphas."""
+    name = cfg.get("problem")
     if "problem_spec" not in cfg and not name:
         raise UsageError("no problem given: use --problem or a config problem_spec")
     if "problem_spec" not in cfg and name not in PROBLEMS:
         raise UsageError(
             f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}")
-    problem = _build_problem(cfg)
-    _, ptype, smoothed = SYSTEMS[system]
-    if problem.is_smoothed != smoothed:
-        want = "a smoothed" if smoothed else "a smooth"
-        raise UsageError(f"system {system!r} needs {want} objective; "
-                         f"problem {name!r} does not match")
-    if not isinstance(problem, ptype):
-        raise UsageError(f"system {system!r} expects a {ptype.__name__}; "
-                         f"problem {name!r} is a {type(problem).__name__}")
-    map_type = REQUIRED_MAP.get(system)
-    if map_type and not isinstance(problem.mirror, map_type):
-        raise UsageError(f"system {system!r} needs a {map_type.__name__} mirror map; "
-                         f"problem {name!r} uses {type(problem.mirror).__name__}")
+    if reason := mismatch(cfg["system"], _build_problem(cfg)):
+        raise UsageError(reason)
+    try:  # a ParameterError is a ValueError, as is a value that is not a number
+        alphas = [float(a) for a in str(cfg.get("alpha", "2")).split(",") if a.strip()]
+        if not alphas:
+            raise ParameterError("no alpha given")
+        for alpha in alphas:
+            _settings(cfg, alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return alphas
 
 
 def _build_problem(cfg: dict):
@@ -120,24 +118,30 @@ def _build_problem(cfg: dict):
     return PROBLEMS[cfg["problem"]](cfg.get("seed", 1))
 
 
+def _settings(cfg: dict, alpha: float):
+    """One job's SystemParams (with its mu schedule), IntegratorConfig and
+    final time; raises ParameterError on a value the system does not take."""
+    system, t0, tf = cfg["system"], float(cfg.get("t0", 1.0)), float(cfg.get("tf", 100.0))
+    mu = MuSchedule(float(cfg.get("mu0", 0.1)), alpha, t0) if SYSTEMS[system].smoothed else None
+    params = SystemParams(alpha=alpha, beta=float(cfg.get("beta", 1.0)), t0=t0, mu=mu)
+    check_params(system, params)
+    if not tf > t0:
+        raise ParameterError(f"need tf > t0, got [{t0}, {tf}]")
+    icfg = IntegratorConfig(rel_tol=float(cfg.get("rel_tol", 1e-6)),
+                            abs_tol=float(cfg.get("abs_tol", 1e-8)),
+                            max_steps=int(cfg.get("max_steps", 3_000_000)))
+    return params, icfg, tf
+
+
 def run_single(cfg: dict, out_dir: Path) -> dict:
     started = time.time()
     problem = _build_problem(cfg)
     cfg = {**cfg, "problem": cfg.get("problem", "custom")}
     alpha = float(cfg["alpha"])
-    mu = None
-    if SYSTEMS[cfg["system"]][2]:
-        mu = MuSchedule(float(cfg.get("mu0", 0.1)), alpha, float(cfg.get("t0", 1.0)))
-    params = SystemParams(alpha=alpha, beta=float(cfg.get("beta", 1.0)),
-                          t0=float(cfg.get("t0", 1.0)), mu=mu)
+    params, icfg, tf = _settings(cfg, alpha)
     field = build_field(cfg["system"], problem, params)
     ref = reference_solution(problem, tol=1e-8)
-    icfg = IntegratorConfig(rel_tol=float(cfg.get("rel_tol", 1e-6)),
-                            abs_tol=float(cfg.get("abs_tol", 1e-8)),
-                            max_steps=int(cfg.get("max_steps", 3_000_000)))
-    grid = geometric_grid(params.t0, float(cfg["tf"]), icfg.points_per_decade)
-    traj = integrate(field.rhs, field.initial_state, params.t0, float(cfg["tf"]),
-                     icfg, sample_times=grid)
+    traj = integrate(field.rhs, field.initial_state, params.t0, tf, icfg)
     report = evaluate_run(field, traj, ref)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -148,8 +152,8 @@ def run_single(cfg: dict, out_dir: Path) -> dict:
         "alpha": alpha,
         "beta": params.beta,
         "t0": params.t0,
-        "tf": float(cfg["tf"]),
-        "mu0": mu.mu0 if mu else None,
+        "tf": tf,
+        "mu0": params.mu.mu0 if params.mu else None,
         "seed": int(cfg.get("seed", 1)),
         "f_star": ref.f_star,
         "v0": report.v0,
@@ -210,8 +214,7 @@ unset multiplot
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    _validate(cfg)
-    alphas = [float(a) for a in str(cfg["alpha"]).split(",") if a.strip()]
+    alphas = _validate(cfg)
     out_root = Path(cfg["out"])
     if len(alphas) == 1:
         summary = run_single({**cfg, "alpha": alphas[0]}, out_root)
@@ -255,10 +258,9 @@ def cmd_list(args) -> int:
         print(f"{name:22s} {kind:9s} {_CATALOGUE_NOTES.get(name, '')}")
     if not needle:
         print()
-        for name in sorted(SYSTEMS):
-            builder, ptype, smoothed = SYSTEMS[name]
-            tag = "smoothed" if smoothed else "smooth"
-            print(f"{name:10s} {tag:9s} for {ptype.__name__}")
+        for name, spec in sorted(SYSTEMS.items()):
+            tag = "smoothed" if spec.smoothed else "smooth"
+            print(f"{name:10s} {tag:9s} for {spec.problem.__name__}")
     return 0
 
 

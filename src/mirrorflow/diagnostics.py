@@ -4,7 +4,7 @@ Every flow is certified by one argument. The energy
 V(t) = (t^2/alpha^2) core + Bregman terms + ||v - lam*||^2 / 2 is
 nonincreasing, where core = f(x) - f* + lam*.rho + penalty (+ 4 kappa mu(t)
 when smoothed), so core t^2 <= alpha^2 V(t0). A per-family descriptor
-(``_Family``, keyed by ``VectorField.kind``) supplies what differs: the
+(``_Family``, keyed by the system's problem class) supplies what differs: the
 residual rho (Ax - b, L x, or Abar x - d - L y*) and its penalty, the
 feasibility measure and its check's name and constant (2 alpha^2 V0/(beta t^2),
 or 2 alpha^2 V0/t^2 for the monotropic flows), the extra energy term
@@ -27,7 +27,7 @@ import numpy as np
 from .dynamics import SYSTEMS, SystemParams, VectorField
 from .errors import ParameterError
 from .integrator import Trajectory
-from .problems import ConstrainedProblem, ReferenceSolution
+from .problems import ConsensusProblem, ConstrainedProblem, MonotropicProblem, ReferenceSolution
 
 DEFAULT_SLACK = 1.05
 LYAPUNOV_REL_SLACK = 1e-6
@@ -216,8 +216,7 @@ def _demo_reference(problem, ref) -> list:
 _CENTRAL = _Family(_central, "feasibility_rate", True, True, "saddle")
 _CONSENSUS = _Family(_consensus, "consensus_rate", False, True, "window")
 _DEMO = _Family(_demo, "multiplier_consensus_rate", False, False, reference=_demo_reference)
-_FAMILIES = {"apdmd": _CENTRAL, "apdpd": _CENTRAL, "sapdmd": _CENTRAL,
-             "adpdmd": _CONSENSUS, "sadpdmd": _CONSENSUS, "admd": _DEMO, "sadmd": _DEMO}
+_FAMILIES = {ConstrainedProblem: _CENTRAL, ConsensusProblem: _CONSENSUS, MonotropicProblem: _DEMO}
 
 
 def _rate_checks(fam, times, core, feas, v0, alpha, beta, slack, warnings) -> list:
@@ -234,10 +233,10 @@ def _rate_checks(fam, times, core, feas, v0, alpha, beta, slack, warnings) -> li
 def evaluate_run(fieldspec: VectorField, traj: Trajectory, ref: ReferenceSolution,
                  slack: float = DEFAULT_SLACK) -> RunReport:
     kind = fieldspec.kind
-    if kind not in _FAMILIES:
+    if kind not in SYSTEMS:
         raise ParameterError(f"no diagnostics for system kind {kind!r}")
-    fam, problem, params = _FAMILIES[kind], fieldspec.problem, fieldspec.params
-    alpha, beta, smoothed = params.alpha, params.beta, SYSTEMS[kind][2]
+    spec, problem, params = SYSTEMS[kind], fieldspec.problem, fieldspec.params
+    fam, alpha, beta, smoothed = _FAMILIES[spec.problem], params.alpha, params.beta, spec.smoothed
     kappa, times = problem.kappa, traj.times
     mu = np.array([params.mu.mu_at(t) for t in times]) if smoothed else np.zeros_like(times)
     warnings = list(traj.warnings) + (fam.reference(problem, ref) if fam.reference else [])
@@ -315,6 +314,7 @@ def check_bounds(report: RunReport, params: SystemParams, v0: float,
     """Re-run the rate checks of a report against a given certificate value."""
     warnings: list = []
     core = report.lagrangian_gap + 4.0 * report.kappa * report.mu
-    return _rate_checks(_FAMILIES[report.system], report.times, core, report.feasibility, v0,
+    fam = _FAMILIES[SYSTEMS[report.system].problem]
+    return _rate_checks(fam, report.times, core, report.feasibility, v0,
                         params.alpha, params.beta, slack, warnings) \
         + [_lyapunov_monotone(report.times, report.lyapunov, warnings)]

@@ -14,6 +14,10 @@ surrogate gradient grad f(x, mu(t)) with mu given by a deterministic
 schedule, never carried as extra state. An equivalent second-order form of
 the centralized flow is provided for cross-validation; it needs the
 conjugate Hessian and therefore only supports the smooth map kinds.
+
+``SYSTEMS`` names the seven flows: each is a problem class (the shape), a
+smoothness flag and, for the projection specialization ``apdpd``, the
+mirror-map class it needs. ``mismatch`` and ``build_field`` read that table.
 """
 
 from __future__ import annotations
@@ -83,23 +87,6 @@ def _check_time(t: float):
         raise DomainError(f"the dynamics are defined for t > 0, got t = {t}")
 
 
-def _require_smooth_objective(problem, name):
-    if getattr(problem, "is_smoothed", False):
-        raise ParameterError(f"{name} needs a smooth objective; use the smoothed system instead")
-
-
-def _require_smoothed(problem, params, name):
-    if not getattr(problem, "is_smoothed", False):
-        raise ParameterError(f"{name} needs a smoothed objective")
-    if params.mu is None:
-        raise ParameterError(f"{name} needs a mu schedule in SystemParams")
-    if params.mu.alpha < params.alpha:
-        raise ParameterError(
-            f"mu schedule must decay at least as fast as t^(-2 alpha): "
-            f"schedule alpha {params.mu.alpha} < system alpha {params.alpha}"
-        )
-
-
 def _initial_dual(mirror) -> np.ndarray:
     """Default u0 per map kind, paired with x0 = grad_conj(u0).
 
@@ -150,24 +137,6 @@ def _centralized_field(problem: ConstrainedProblem, params: SystemParams, kind: 
     return VectorField(kind, rhs, layout, problem, params, y0)
 
 
-def apdmd_field(problem: ConstrainedProblem, params: SystemParams) -> VectorField:
-    _require_smooth_objective(problem, "apdmd")
-    return _centralized_field(problem, params, "apdmd", smoothed=False)
-
-
-def apdpd_field(problem: ConstrainedProblem, params: SystemParams) -> VectorField:
-    """The projection specialization: grad_conj is the Euclidean projection."""
-    if not isinstance(problem.mirror, REQUIRED_MAP["apdpd"]):
-        raise ParameterError("apdpd requires a projection mirror map")
-    _require_smooth_objective(problem, "apdpd")
-    return _centralized_field(problem, params, "apdpd", smoothed=False)
-
-
-def sapdmd_field(problem: ConstrainedProblem, params: SystemParams) -> VectorField:
-    _require_smoothed(problem, params, "sapdmd")
-    return _centralized_field(problem, params, "sapdmd", smoothed=True)
-
-
 def apdmd_second_order_field(problem: ConstrainedProblem, params: SystemParams) -> VectorField:
     """Equivalent second-order form on (x, dx, lam, dlam), for cross-checks.
 
@@ -175,7 +144,8 @@ def apdmd_second_order_field(problem: ConstrainedProblem, params: SystemParams) 
     d2lam + (alpha+1)/t dlam - (A w - b) = 0,  where w = x + (t/alpha) dx
     and H(w) is the conjugate Hessian evaluated at grad_psi(w).
     """
-    _require_smooth_objective(problem, "second-order form")
+    if reason := mismatch("apdmd", problem):
+        raise ParameterError(reason)
     mirror = problem.mirror
     if not mirror.smooth:
         raise UnsupportedOperationError("second-order form needs a smooth mirror map")
@@ -244,24 +214,12 @@ def _consensus_field(problem: ConsensusProblem, params: SystemParams, kind: str,
     return VectorField(kind, rhs, layout, problem, params, y0)
 
 
-def adpdmd_field(problem: ConsensusProblem, params: SystemParams) -> VectorField:
-    _require_smooth_objective(problem, "adpdmd")
-    return _consensus_field(problem, params, "adpdmd", smoothed=False)
-
-
-def sadpdmd_field(problem: ConsensusProblem, params: SystemParams) -> VectorField:
-    _require_smoothed(problem, params, "sadpdmd")
-    return _consensus_field(problem, params, "sadpdmd", smoothed=True)
-
-
 # --------------------------------------------------------------------------
 # distributed monotropic flows
 # --------------------------------------------------------------------------
 
 def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str,
                 smoothed: bool) -> VectorField:
-    if abs(params.beta - 1.0) > 0:
-        raise ParameterError(f"{kind} is analyzed with beta = 1; got beta = {params.beta}")
     a_bar, d = problem.a_bar, problem.d
     a_bar_t = a_bar.T
     lap = problem.lifted
@@ -315,40 +273,66 @@ def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str,
     return VectorField(kind, rhs, layout, problem, params, y0)
 
 
-def admd_field(problem: MonotropicProblem, params: SystemParams) -> VectorField:
-    _require_smooth_objective(problem, "admd")
-    return _demo_field(problem, params, "admd", smoothed=False)
-
-
-def sadmd_field(problem: MonotropicProblem, params: SystemParams) -> VectorField:
-    _require_smoothed(problem, params, "sadmd")
-    return _demo_field(problem, params, "sadmd", smoothed=True)
+@dataclass(frozen=True)
+class System:
+    """What a flow accepts: the problem class, whether its objective is
+    smoothed, and the mirror-map class it needs beyond the problem's own."""
+    problem: type
+    smoothed: bool
+    mirror: type | None = None
 
 
 SYSTEMS = {
-    "apdmd": (apdmd_field, ConstrainedProblem, False),
-    "apdpd": (apdpd_field, ConstrainedProblem, False),
-    "sapdmd": (sapdmd_field, ConstrainedProblem, True),
-    "adpdmd": (adpdmd_field, ConsensusProblem, False),
-    "sadpdmd": (sadpdmd_field, ConsensusProblem, True),
-    "admd": (admd_field, MonotropicProblem, False),
-    "sadmd": (sadmd_field, MonotropicProblem, True),
+    "apdmd": System(ConstrainedProblem, False),
+    "apdpd": System(ConstrainedProblem, False, ProjectionMap),
+    "sapdmd": System(ConstrainedProblem, True),
+    "adpdmd": System(ConsensusProblem, False),
+    "sadpdmd": System(ConsensusProblem, True),
+    "admd": System(MonotropicProblem, False),
+    "sadmd": System(MonotropicProblem, True),
 }
 
-# systems that also need one class of mirror map, beyond the problem shape
-REQUIRED_MAP = {"apdpd": ProjectionMap}
+_BUILDERS = {ConstrainedProblem: _centralized_field, ConsensusProblem: _consensus_field,
+             MonotropicProblem: _demo_field}
+
+
+def mismatch(system: str, problem) -> str | None:
+    """Why the system cannot run on the problem, or None when it can."""
+    if system not in SYSTEMS:
+        return f"unknown system {system!r}; choose from {sorted(SYSTEMS)}"
+    spec = SYSTEMS[system]
+    if not isinstance(problem, spec.problem):
+        return (f"system {system!r} expects a {spec.problem.__name__}, "
+                f"got {type(problem).__name__}")
+    if problem.is_smoothed != spec.smoothed:
+        return f"system {system!r} needs a {'smoothed' if spec.smoothed else 'smooth'} objective"
+    if spec.mirror and not isinstance(problem.mirror, spec.mirror):
+        return (f"system {system!r} needs a {spec.mirror.__name__} mirror map, "
+                f"got {type(problem.mirror).__name__}")
+    return None
+
+
+def check_params(system: str, params: SystemParams):
+    """Raise ParameterError when the system's analysis does not cover params."""
+    spec = SYSTEMS[system]
+    if spec.smoothed and params.mu is None:
+        raise ParameterError(f"{system} needs a mu schedule in SystemParams")
+    if spec.smoothed and params.mu.alpha < params.alpha:
+        raise ParameterError(
+            f"mu schedule must decay at least as fast as t^(-2 alpha): "
+            f"schedule alpha {params.mu.alpha} < system alpha {params.alpha}"
+        )
+    if spec.problem is MonotropicProblem and params.beta != 1.0:
+        raise ParameterError(f"{system} is analyzed with beta = 1; got beta = {params.beta}")
 
 
 def build_field(system: str, problem, params: SystemParams) -> VectorField:
-    if system not in SYSTEMS:
-        raise ParameterError(f"unknown system {system!r}; choose from {sorted(SYSTEMS)}")
-    builder, ptype, needs_smoothing = SYSTEMS[system]
-    if not isinstance(problem, ptype):
-        raise ParameterError(
-            f"system {system!r} expects a {ptype.__name__}, got {type(problem).__name__}"
-        )
+    if reason := mismatch(system, problem):
+        raise ParameterError(reason)
+    check_params(system, params)
     # a clamp flag reports on one run: the run of the field built here
     mirrors = (problem.mirror,) if isinstance(problem, ConstrainedProblem) else problem.mirrors
     for mirror in mirrors:
         mirror.clamp_triggered = False
-    return builder(problem, params)
+    spec = SYSTEMS[system]
+    return _BUILDERS[spec.problem](problem, params, system, spec.smoothed)

@@ -502,13 +502,6 @@ def euclidean_projector(mirror: MirrorMap) -> Projector:
     raise ParameterError(f"no projector known for map kind {mirror.kind!r}")
 
 
-def feasible_point(problem: ConstrainedProblem, tol: float = 1e-10) -> np.ndarray:
-    """A point of X with ||A x - b|| <= tol, found by projected least squares."""
-    from ._oracle import feasibility_point
-
-    return feasibility_point(problem, tol)
-
-
 def reference_solution(problem, tol: float = 1e-8) -> ReferenceSolution:
     """High-accuracy primal-dual optimum computed independently of the
     mirror dynamics; raises OracleError if the KKT residual cannot be met."""

@@ -9,9 +9,10 @@ import pytest
 import mirrorflow
 from mirrorflow import cli
 from mirrorflow.cli import _validate, main
-from mirrorflow.dynamics import SYSTEMS
-from mirrorflow.errors import UsageError
+from mirrorflow.dynamics import SYSTEMS, SystemParams, build_field
+from mirrorflow.errors import ParameterError, UsageError
 from mirrorflow.problems import PROBLEMS, reference_solution
+from mirrorflow.smoothing import MuSchedule
 
 # (shape, smoothed) of every catalogue problem and of what each system accepts
 _PROBLEM_KINDS = {
@@ -161,11 +162,40 @@ def test_compatibility_tables_cover_the_catalogue():
 @pytest.mark.parametrize("system", sorted(_SYSTEM_KINDS))
 @pytest.mark.parametrize("problem", sorted(_PROBLEM_KINDS))
 def test_validate_accepts_exactly_the_compatible_pairs(problem, system, tmp_path):
+    # the API accepts the same pairs as the CLI, and rejects the others with the same reason
+    cfg = {"problem": problem, "system": system, "seed": 1}
+    smoothed = _SYSTEM_KINDS[system][1]
+    params = SystemParams(alpha=3.0, mu=MuSchedule(0.1, 3.0) if smoothed else None)
     if _PROBLEM_KINDS[problem] == _SYSTEM_KINDS[system] and system not in _PROJECTION_SYSTEMS:
-        _validate({"problem": problem, "system": system, "seed": 1})
+        _validate(cfg)
+        assert build_field(system, PROBLEMS[problem](1), params).kind == system
         return
+    with pytest.raises(UsageError) as cli_error:
+        _validate(cfg)
+    with pytest.raises(ParameterError) as api_error:
+        build_field(system, PROBLEMS[problem](1), params)
+    assert str(api_error.value) == str(cli_error.value)
     out = tmp_path / "x"
     code = main(["run", "--problem", problem, "--system", system, "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem, system, flags", [
+    ("d_sp", "admd", ["--beta", "2"]),
+    ("d_bp_c", "sadmd", ["--mu0", "0"]),
+    ("scalar", "apdmd", ["--alpha", "1"]),
+    ("scalar", "apdmd", ["--alpha", "1,2"]),
+    ("scalar", "apdmd", ["--tf", "0.5"]),
+    ("scalar", "apdmd", ["--rel-tol", "0"]),
+    ("scalar", "apdmd", ["--alpha", "x"]),
+    ("scalar", "apdmd", ["--alpha", ","]),
+], ids=["admd-beta", "sadmd-mu0", "alpha", "alpha-sweep", "tf-before-t0", "rel-tol",
+        "alpha-not-a-number", "no-alpha"])
+def test_bad_run_parameters_are_usage_errors(problem, system, flags, tmp_path):
+    # rejected before any job runs: exit 2 and no output directory
+    out = tmp_path / "x"
+    code = main(["run", "--problem", problem, "--system", system, *flags, "--out", str(out)])
     assert code == 2
     assert not out.exists()
 

@@ -10,14 +10,7 @@ from mirrorflow.diagnostics import (
     lagrangian_gap,
     rate_fit,
 )
-from mirrorflow.dynamics import (
-    SystemParams,
-    adpdmd_field,
-    apdmd_field,
-    apdmd_second_order_field,
-    build_field,
-    sapdmd_field,
-)
+from mirrorflow.dynamics import SystemParams, apdmd_second_order_field, build_field
 from mirrorflow.errors import ParameterError
 from mirrorflow.integrator import IntegratorConfig, integrate
 from mirrorflow.problems import (
@@ -102,7 +95,7 @@ def lyapunov_admd(t: float, state: dict, problem, ref, params) -> float:
 def scalar_run(alpha=2.0, tf=100.0):
     problem = build_scalar()
     ref = reference_solution(problem, 1e-10)
-    field = apdmd_field(problem, SystemParams(alpha=alpha, beta=1.0))
+    field = build_field("apdmd", problem, SystemParams(alpha=alpha, beta=1.0))
     traj = integrate(field.rhs, field.initial_state, 1.0, tf)
     return problem, ref, field, traj
 
@@ -132,7 +125,7 @@ def test_lagrangian_gap_identities():
 def test_lagrangian_gap_matches_inline_formula_mid_trajectory():
     problem = build_logistic_centralized()
     ref = reference_solution(problem, 1e-9)
-    field = apdmd_field(problem, SystemParams(alpha=2.0, beta=1.0))
+    field = build_field("apdmd", problem, SystemParams(alpha=2.0, beta=1.0))
     traj = integrate(field.rhs, field.initial_state, 1.0, 10.0)
     rep = evaluate_run(field, traj, ref)
     i = len(traj.times) // 2
@@ -183,7 +176,7 @@ def test_check_bounds_negative_control_with_tampered_slack():
     # genuinely tight, so halving the slack must flip the check to failing
     problem = build_consensus_quadratic(edge_weight=10.0)
     ref = reference_solution(problem, 1e-9)
-    field = adpdmd_field(problem, SystemParams(alpha=2.0, beta=1.0))
+    field = build_field("adpdmd", problem, SystemParams(alpha=2.0, beta=1.0))
     d = np.array([3.0, 0.0, -3.0, 0.0])
     y0 = field.layout.pack(x=ref.x_star + d, u=ref.x_star + d,
                            lam=np.zeros(4), v=np.zeros(4))
@@ -199,7 +192,7 @@ def test_check_bounds_negative_control_with_tampered_slack():
 def test_infinite_certificate_reported_with_warning():
     problem = build_consensus_quadratic()
     ref = reference_solution(problem, 1e-9)
-    field = adpdmd_field(problem, SystemParams(alpha=3.0, beta=1.0))
+    field = build_field("adpdmd", problem, SystemParams(alpha=3.0, beta=1.0))
     traj = integrate(field.rhs, field.initial_state, 1.0, 10.0)
     rep = evaluate_run(field, traj, ref)
     tampered = check_bounds(rep, field.params, float("inf"))
@@ -260,7 +253,8 @@ def test_centralized_lower_checks_hold_when_multiplier_norm_exceeds_one():
     problem = build_nbp(1)
     ref = reference_solution(problem, 1e-8)
     assert np.linalg.norm(ref.lam_star) > 3.0
-    field = sapdmd_field(problem, SystemParams(alpha=2.0, beta=10.0, mu=MuSchedule(0.1, 2.0)))
+    field = build_field("sapdmd", problem,
+                        SystemParams(alpha=2.0, beta=10.0, mu=MuSchedule(0.1, 2.0)))
     traj = integrate(field.rhs, field.initial_state, 1.0, 20.0)
     rep = evaluate_run(field, traj, ref)
     assert rep.check("saddle_positivity").ok

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from mirrorflow.dynamics import (
-    SystemParams,
-    admd_field,
-    adpdmd_field,
-    apdmd_field,
-    apdmd_second_order_field,
-    apdpd_field,
-    build_field,
-    sapdmd_field,
-)
+from mirrorflow.dynamics import SystemParams, apdmd_second_order_field, build_field
 from mirrorflow.errors import ParameterError
 from mirrorflow.graph import path_graph
 from mirrorflow.integrator import IntegratorConfig, integrate
@@ -45,14 +36,14 @@ def test_params_validation():
 def test_apdmd_scalar_rhs_frozen_value():
     # min x^2/2 s.t. x = 1, euclidean map, alpha=2, beta=1, t=2, state 0:
     # hand evaluation of the right-hand side gives (0, 1, 0, -1)
-    field = apdmd_field(build_scalar(), SystemParams(alpha=2.0, beta=1.0))
+    field = build_field("apdmd", build_scalar(), SystemParams(alpha=2.0, beta=1.0))
     dy = field.rhs(2.0, np.zeros(4))
     assert np.allclose(dy, [0.0, 1.0, 0.0, -1.0])
 
 
 def test_apdmd_stationary_at_saddle():
     problem = build_scalar()
-    field = apdmd_field(problem, SystemParams(alpha=2.0, beta=1.0))
+    field = build_field("apdmd", problem, SystemParams(alpha=2.0, beta=1.0))
     ref = reference_solution(problem, 1e-10)
     y = field.layout.pack(x=ref.x_star, u=ref.x_star, lam=ref.lam_star, v=ref.lam_star)
     assert np.max(np.abs(field.rhs(3.7, y))) <= 1e-8
@@ -60,7 +51,7 @@ def test_apdmd_stationary_at_saddle():
 
 def test_apdmd_simplex_uniform_fixed_direction():
     problem = build_logistic_centralized()
-    field = apdmd_field(problem, SystemParams(alpha=2.0))
+    field = build_field("apdmd", problem, SystemParams(alpha=2.0))
     y0 = field.initial_state
     s = field.layout.split(y0)
     assert np.allclose(s["x"], 0.25)
@@ -69,7 +60,7 @@ def test_apdmd_simplex_uniform_fixed_direction():
 
 
 def test_time_domain_guard():
-    field = apdmd_field(build_scalar(), SystemParams(alpha=2.0))
+    field = build_field("apdmd", build_scalar(), SystemParams(alpha=2.0))
     from mirrorflow.errors import DomainError
 
     with pytest.raises(DomainError):
@@ -83,21 +74,21 @@ def test_apdpd_matches_euclidean_inside_box():
     boxed = ConstrainedProblem(obj, a, b, ProjectionMap(Box(lo=-10 * np.ones(2), hi=10 * np.ones(2))))
     free = ConstrainedProblem(obj, a, b, EuclideanMap(2))
     params = SystemParams(alpha=2.0)
-    f1 = apdpd_field(boxed, params)
-    f2 = apdmd_field(free, params)
+    f1 = build_field("apdpd", boxed, params)
+    f2 = build_field("apdmd", free, params)
     y = np.array([0.3, -0.2, 0.5, 0.1, 0.7, -0.4])
     assert np.allclose(f1.rhs(2.0, y), f2.rhs(2.0, y))
 
 
 def test_apdpd_requires_projection_map():
     with pytest.raises(ParameterError):
-        apdpd_field(build_scalar(), SystemParams(alpha=2.0))
+        build_field("apdpd", build_scalar(), SystemParams(alpha=2.0))
 
 
 def test_adpdmd_blockwise_matches_edge_formula():
     problem = build_dis_logistic()
     params = SystemParams(alpha=3.0, beta=1.0)
-    field = adpdmd_field(problem, params)
+    field = build_field("adpdmd", problem, params)
     rng = np.random.default_rng(5)
     u = rng.normal(size=16)
     u[4:8] = -np.abs(u[4:8]) - 0.1  # burg-entropy block needs u < 0
@@ -122,7 +113,7 @@ def test_adpdmd_blockwise_matches_edge_formula():
 
 def test_adpdmd_laplacian_kernel_directions():
     problem = build_dis_logistic()
-    field = adpdmd_field(problem, SystemParams(alpha=3.0))
+    field = build_field("adpdmd", problem, SystemParams(alpha=3.0))
     s = field.layout.split(field.initial_state.copy())
     # equal map outputs across agents make dv vanish
     u = np.tile(np.log(np.full(4, 0.25)), 4)  # not valid for agent 2 domain; use agent-wise
@@ -146,9 +137,9 @@ def test_admd_reduces_to_centralized_when_graph_is_trivial():
     mono = MonotropicProblem((obj,), (a1,), (d1,), (EuclideanMap(3),),
                              path_graph(1), m=2)
     params = SystemParams(alpha=3.0, beta=1.0)
-    field = admd_field(mono, params)
+    field = build_field("admd", mono, params)
     cen = ConstrainedProblem(obj, a1, d1, EuclideanMap(3))
-    cfield = apdmd_field(cen, SystemParams(alpha=3.0, beta=1.0))
+    cfield = build_field("apdmd", cen, SystemParams(alpha=3.0, beta=1.0))
 
     y = rng.normal(size=field.layout.size)
     dy = field.layout.split(field.rhs(2.0, y))
@@ -164,7 +155,7 @@ def test_admd_reduces_to_centralized_when_graph_is_trivial():
 def test_admd_cancellation_structure():
     problem = build_dist_qp(seed=1)
     params = SystemParams(alpha=3.0, beta=1.0)
-    field = admd_field(problem, params)
+    field = build_field("admd", problem, params)
     rng = np.random.default_rng(4)
     # consensus multipliers and a v-stationary configuration: v-dot = 0
     lam_c = np.tile(rng.normal(size=5), 10)
@@ -186,17 +177,17 @@ def test_admd_cancellation_structure():
 
 def test_admd_rejects_beta_not_one():
     with pytest.raises(ParameterError):
-        admd_field(build_dist_qp(1), SystemParams(alpha=3.0, beta=2.0))
+        build_field("admd", build_dist_qp(1), SystemParams(alpha=3.0, beta=2.0))
 
 
 def test_smoothed_field_validation_and_band_behavior():
     problem = build_nbp(seed=1)
     with pytest.raises(ParameterError):
-        sapdmd_field(problem, SystemParams(alpha=2.0))  # no schedule
+        build_field("sapdmd", problem, SystemParams(alpha=2.0))  # no schedule
     with pytest.raises(ParameterError):
-        sapdmd_field(problem, SystemParams(alpha=4.0, mu=MuSchedule(0.1, 2.0)))
+        build_field("sapdmd", problem, SystemParams(alpha=4.0, mu=MuSchedule(0.1, 2.0)))
     params = SystemParams(alpha=2.0, mu=MuSchedule(0.1, 2.0))
-    field = sapdmd_field(problem, params)
+    field = build_field("sapdmd", problem, params)
     # coordinates outside the band see the exact subgradient sign(x)
     n, m = problem.dim, problem.n_constraints
     y = field.layout.pack(x=np.ones(n), u=np.ones(n), lam=np.zeros(m), v=np.zeros(m))
@@ -213,7 +204,7 @@ def test_smoothed_field_validation_and_band_behavior():
 def test_sapdmd_matches_independent_formula_on_random_state():
     problem = build_nbp(seed=2)
     params = SystemParams(alpha=2.0, beta=1.0, mu=MuSchedule(0.1, 2.0))
-    field = sapdmd_field(problem, params)
+    field = build_field("sapdmd", problem, params)
     rng = np.random.default_rng(11)
     y = rng.normal(size=field.layout.size) * 0.5
     t = 3.3
@@ -352,7 +343,7 @@ def test_first_vs_second_order_trajectories_agree():
     for mirror in (EuclideanMap(3), NegEntropyMap(3)):
         problem = ConstrainedProblem(obj, a, b, mirror)
         params = SystemParams(alpha=2.0, beta=1.0)
-        f1 = apdmd_field(problem, params)
+        f1 = build_field("apdmd", problem, params)
         f2 = apdmd_second_order_field(problem, params)
         t1 = integrate(f1.rhs, f1.initial_state, 1.0, 20.0, cfg, sample_times=samples)
         t2 = integrate(f2.rhs, f2.initial_state, 1.0, 20.0, cfg, sample_times=samples)
@@ -378,7 +369,7 @@ def test_adpdmd_stationary_at_consensus_saddle():
 
     problem = build_consensus_quadratic()
     ref = reference_solution(problem, 1e-10)
-    field = adpdmd_field(problem, SystemParams(alpha=3.0, beta=1.0))
+    field = build_field("adpdmd", problem, SystemParams(alpha=3.0, beta=1.0))
     y = field.layout.pack(x=ref.x_star, u=ref.x_star,
                           lam=ref.lam_star, v=ref.lam_star)
     assert np.max(np.abs(field.rhs(2.3, y))) <= 1e-7
@@ -386,7 +377,7 @@ def test_adpdmd_stationary_at_consensus_saddle():
 
 def test_beta_to_zero_removes_augmented_term():
     problem = build_scalar()
-    tiny = apdmd_field(problem, SystemParams(alpha=2.0, beta=1e-14))
+    tiny = build_field("apdmd", problem, SystemParams(alpha=2.0, beta=1e-14))
     y = np.array([0.3, 0.1, -0.2, 0.4])
     t = 2.0
     x, u, lam, v = y

@@ -13,7 +13,6 @@ from mirrorflow.problems import (
     build_logistic_centralized,
     build_nbp,
     build_scalar,
-    feasible_point,
     reference_solution,
 )
 
@@ -24,13 +23,6 @@ def test_logistic_centralized_data():
     assert np.array_equal(p.b, [1.0, 1.0])
     x = np.array([1.0, 0.0, 0.0, 0.0])
     assert abs(p.f_exact(x) - np.log(1 + np.exp(-1))) <= 1e-12
-
-
-def test_logistic_feasible_point_oracle():
-    p = build_logistic_centralized()
-    x = feasible_point(p, tol=1e-10)
-    assert np.max(np.abs(p.a @ x - p.b)) <= 1e-10
-    assert p.mirror.set_violation(x) <= 1e-9
 
 
 def test_dis_logistic_structure():
