@@ -5,13 +5,16 @@ inner solver. The returned KKT residual is the max of the natural-map
 stationarity residual ||x - P_X(x - (grad f + A^T lam))||_inf and the
 constraint violation.
 
-L1 problems: solved exactly as linear programs (HiGHS) and certified by an
-explicit dual-feasibility check of the subgradient conditions, so the
-optimum never depends on any iterative tolerance of ours.
+L1 problems: one linear program (HiGHS), min ||x||_1 subject to the stacked
+affine constraints, solved exactly and certified by an explicit check of the
+subgradient conditions (``_l1_residual``), so the optimum never depends on
+any iterative tolerance of ours. The DEMO multiplier is the LP dual repeated
+per agent. The consensus multiplier is built from the LP dual in closed
+form, by one least-squares solve with the graph Laplacian L_n, and each
+agent's stationarity is certified again.
 
-scipy is imported only inside the LP routes (``_min_l1`` and
-``solve_consensus_l1``): a process that solves only smooth problems never
-loads it.
+scipy is imported only inside ``_min_l1``: a process that solves only
+smooth problems never loads it.
 """
 
 from __future__ import annotations
@@ -142,161 +145,92 @@ def solve_demo_smooth(problem: MonotropicProblem, tol: float) -> ReferenceSoluti
 # l1 routes (LP + dual certificate)
 # --------------------------------------------------------------------------
 
-def _lp_duals_sign(a, x, marginals, support_sign):
-    """Resolve HiGHS multiplier sign so that -A^T lam is an l1 subgradient at x."""
-    for lam in (marginals, -marginals):
-        g = -(a.T @ lam)
-        if np.max(np.abs(g)) <= 1.0 + 1e-6 and np.max(np.abs(g[x != 0] - support_sign[x != 0])) <= 1e-6:
-            return lam
-    raise OracleError("LP duals do not certify l1 optimality under either sign convention")
+def _l1_residual(g, x, nonnegative: bool) -> float:
+    """How far g is from an l1 subgradient that certifies x: |g| <= 1 with
+    g = sign x on the support, or in the nonnegative case s = 1 - g >= 0 with
+    s x = 0."""
+    if nonnegative:
+        s = 1.0 - g
+        return max(0.0, -float(np.min(s)), float(np.max(np.abs(s * x))))
+    on = x != 0
+    return max(0.0, float(np.max(np.abs(g))) - 1.0,
+               float(np.max(np.abs(g[on] - np.sign(x[on])), initial=0.0)))
+
+
+def _certified(kkt: float, tol: float, what: str) -> float:
+    if kkt > tol:
+        raise OracleError(f"{what} residual {kkt:.3e} exceeds tol", residual=kkt)
+    return kkt
 
 
 def _min_l1(a, b, nonnegative: bool):
-    """min ||x||_1 s.t. a x = b (and x >= 0 when nonnegative); returns x, lam.
+    """min ||x||_1 s.t. a x = b (and x >= 0 when nonnegative); returns x, lam
+    and the KKT residual.
 
-    The multiplier satisfies the subgradient stationarity condition
-    0 in d||x||_1 + a^T lam (restricted to the orthant's normal cone in the
-    nonnegative case).
+    lam is the sign of the HiGHS marginals for which -a^T lam is an l1
+    subgradient certifying x (``_l1_residual``).
     """
     from scipy.optimize import linprog
 
-    m, n = a.shape
-    if nonnegative:
-        res = linprog(c=np.ones(n), A_eq=a, b_eq=b, bounds=[(0, None)] * n, method="highs")
-    else:
-        res = linprog(c=np.ones(2 * n), A_eq=np.hstack([a, -a]), b_eq=b,
-                      bounds=[(0, None)] * (2 * n), method="highs")
+    n = a.shape[1]
+    a_lp = a if nonnegative else np.hstack([a, -a])  # x = x+ - x- when signed
+    res = linprog(c=np.ones(a_lp.shape[1]), A_eq=a_lp, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:
         raise OracleError(f"l1 linear program failed: {res.message}")
     x = res.x[:n] if nonnegative else res.x[:n] - res.x[n:]
     x = np.where(np.abs(x) < 1e-11, 0.0, x)
     marginals = np.asarray(res.eqlin.marginals, dtype=float)
-    if nonnegative:
-        # stationarity: s = 1 + a^T lam >= 0 with s = 0 on the support
-        for lam in (marginals, -marginals):
-            s = 1.0 + a.T @ lam
-            if np.min(s) >= -1e-6 and np.max(np.abs(s[x > 0])) <= 1e-6:
-                return x, lam
-        raise OracleError("LP duals do not certify nonnegative l1 optimality")
-    lam = _lp_duals_sign(a, x, marginals, np.sign(x))
-    return x, lam
+    feas = float(np.max(np.abs(a @ x - b)))
+    for lam in (marginals, -marginals):
+        stat = _l1_residual(-(a.T @ lam), x, nonnegative)
+        if stat <= 1e-6:
+            return x, lam, max(feas, stat)
+    raise OracleError("LP duals do not certify l1 optimality under either sign convention")
 
 
 def solve_constrained_l1(problem: ConstrainedProblem, tol: float) -> ReferenceSolution:
     nonneg = euclidean_projector(problem.mirror).kind in ("orthant",)
-    x, lam = _min_l1(problem.a, problem.b, nonnegative=nonneg)
-    feas = float(np.max(np.abs(problem.a @ x - problem.b)))
-    if nonneg:
-        s = 1.0 + problem.a.T @ lam
-        stat = max(0.0, -float(np.min(s)))
-        compl = float(np.max(np.abs(s * x)))
-    else:
-        g = -(problem.a.T @ lam)
-        stat = max(0.0, float(np.max(np.abs(g))) - 1.0)
-        compl = float(np.max(np.abs(g[x != 0] - np.sign(x[x != 0])))) if np.any(x != 0) else 0.0
-    kkt = max(feas, stat, compl)
-    if kkt > tol:
-        raise OracleError(f"l1 certificate residual {kkt:.3e} exceeds tol", residual=kkt)
-    return ReferenceSolution(x, lam, float(np.sum(np.abs(x))), kkt, method="lp-certificate")
+    x, lam, kkt = _min_l1(problem.a, problem.b, nonnegative=nonneg)
+    return ReferenceSolution(x, lam, float(np.sum(np.abs(x))),
+                             _certified(kkt, tol, "l1 certificate"), method="lp-certificate")
 
 
 def solve_consensus_l1(problem: ConsensusProblem, tol: float) -> ReferenceSolution:
-    """Stack the per-agent affine sets, solve the centralized LP, then find a
-    consensus multiplier by a dual feasibility LP over subgradient witnesses."""
-    from scipy.linalg import block_diag
-    from scipy.optimize import linprog
+    """Solve the stacked LP min ||x||_1 s.t. A_i x = b_i for every i, then
+    build a consensus multiplier from its dual eta in closed form.
 
-    mirrors = problem.mirrors
-    a_rows, b_rows = [], []
-    for mir in mirrors:
-        proj = euclidean_projector(mir)
-        if proj.kind != "affine":
-            raise OracleError("consensus l1 oracle expects affine per-agent sets")
-        a_rows.append(proj.a)
-        b_rows.append(proj.b)
-    a_full = np.vstack(a_rows)
-    b_full = np.concatenate(b_rows)
-    x_bar, _ = _min_l1(a_full, b_full, nonnegative=False)
+    g = -A^T eta certifies x. With w_i = k eta_i, agent i is stationary when
+    (L lam)_i = r_i = -k A_i^T eta_i - g. The blocks of r sum to zero, so
+    L lam = r is solvable; since L = L_n (x) I, the minimum-norm lam is the
+    least-squares solution of L_n Lam = R on the k x n block matrices.
+    """
+    projs = [euclidean_projector(mir) for mir in problem.mirrors]
+    if any(p.kind != "affine" for p in projs):
+        raise OracleError("consensus l1 oracle expects affine per-agent sets")
+    a_full = np.vstack([p.a for p in projs])
+    x_bar, eta, kkt = _min_l1(a_full, np.concatenate([p.b for p in projs]), nonnegative=False)
 
-    n, k = problem.block_dim, problem.n_agents
-    lap = problem.lifted.matrix
-    a_bar_t = block_diag(*(a_i.T for a_i in a_rows))
-
-    support = np.nonzero(x_bar)[0]
-    sign_s = np.sign(x_bar[support])
-    off = np.nonzero(x_bar == 0)[0]
-
-    # variables z = [lambda (kn); w (m_total); t (1)], g = -L lambda - blkdiag(A^T) w
-    n_lam = k * n
-    n_w = a_full.shape[0]
-    cols = n_lam + n_w + 1
-    g_mat = np.zeros((k * n, cols))
-    g_mat[:, :n_lam] = -lap
-    g_mat[:, n_lam:n_lam + n_w] = -a_bar_t
-
-    eq_rows, eq_rhs = [], []
-    ub_rows, ub_rhs = [], []
+    k = problem.n_agents
+    etas = np.split(eta, np.cumsum([p.a.shape[0] for p in projs])[:-1])
+    pull = np.stack([k * (p.a.T @ e) for p, e in zip(projs, etas)])  # k A_i^T eta_i
+    r = -pull + a_full.T @ eta
+    lam_blocks, *_ = np.linalg.lstsq(problem.lifted.l_n, r, rcond=None)
+    lam_lap = problem.lifted.l_n @ lam_blocks
     for agent in range(k):
-        base = agent * n
-        for s_idx, sgn in zip(support, sign_s):
-            eq_rows.append(g_mat[base + s_idx])
-            eq_rhs.append(sgn)
-        for o_idx in off:
-            r1 = g_mat[base + o_idx].copy()
-            r1[-1] -= 1.0  # g - t <= 0
-            ub_rows.append(r1)
-            ub_rhs.append(0.0)
-            r2 = -g_mat[base + o_idx]
-            r2[-1] -= 1.0  # -g - t <= 0
-            ub_rows.append(r2)
-            ub_rhs.append(0.0)
-    c = np.zeros(cols)
-    c[-1] = 1.0
-    bounds = [(None, None)] * (n_lam + n_w) + [(0.0, None)]
-    res = linprog(c=c, A_eq=np.array(eq_rows), b_eq=np.array(eq_rhs),
-                  A_ub=np.array(ub_rows), b_ub=np.array(ub_rhs),
-                  bounds=bounds, method="highs")
-    if not res.success:
-        raise OracleError(f"consensus multiplier LP failed: {res.message}")
-    lam = res.x[:n_lam]
-    w = res.x[n_lam:n_lam + n_w]
-    margin = float(res.x[-1])
-    if margin > 1.0 + 1e-7:
-        raise OracleError(f"no consensus dual certificate: off-support margin {margin:.6f} > 1")
-
-    g = -(lap @ lam) - a_bar_t @ w
-    stat = 0.0
-    for agent in range(k):
-        base = agent * n
-        stat = max(stat, float(np.max(np.abs(g[base + support] - sign_s))))
-        if off.size:
-            stat = max(stat, max(0.0, float(np.max(np.abs(g[base + off]))) - 1.0))
-    x_star = np.tile(x_bar, k)
-    feas = max(float(np.max(np.abs(a_full @ x_bar - b_full))),
-               float(np.sqrt(max(x_star @ lap @ x_star, 0.0))))
-    kkt = max(stat, feas)
-    if kkt > tol:
-        raise OracleError(f"consensus l1 residual {kkt:.3e} exceeds tol", residual=kkt)
-    f_star = float(k * np.sum(np.abs(x_bar)))
-    return ReferenceSolution(x_star, lam, f_star, kkt, method="lp-certificate")
+        kkt = max(kkt, _l1_residual(-lam_lap[agent] - pull[agent], x_bar, nonnegative=False))
+    return ReferenceSolution(np.tile(x_bar, k), lam_blocks.ravel(), float(k * np.sum(np.abs(x_bar))),
+                             _certified(kkt, tol, "consensus l1"), method="lp-certificate")
 
 
 def solve_demo_l1(problem: MonotropicProblem, tol: float) -> ReferenceSolution:
     a_full = np.hstack(problem.a_blocks)
     b_total = np.sum(np.stack(problem.d_blocks), axis=0)
-    x, eta = _min_l1(a_full, b_total, nonnegative=False)
+    x, eta, kkt = _min_l1(a_full, b_total, nonnegative=False)
 
     lam = np.tile(eta, problem.n_agents)
     lap = problem.lifted.matrix
-    rhs = problem.d - problem.a_bar @ x
-    y, *_ = np.linalg.lstsq(lap, rhs, rcond=None)
-    feas = float(np.max(np.abs(problem.a_bar @ x - problem.d + lap @ y)))
-    g = -(a_full.T @ eta)
-    stat = max(0.0, float(np.max(np.abs(g))) - 1.0)
-    if np.any(x != 0):
-        stat = max(stat, float(np.max(np.abs(g[x != 0] - np.sign(x[x != 0])))))
-    kkt = max(feas, stat, float(np.max(np.abs(lap @ lam))))
-    if kkt > tol:
-        raise OracleError(f"demo l1 residual {kkt:.3e} exceeds tol", residual=kkt)
-    return ReferenceSolution(x, lam, float(np.sum(np.abs(x))), kkt,
+    y, *_ = np.linalg.lstsq(lap, problem.d - problem.a_bar @ x, rcond=None)
+    kkt = max(kkt, float(np.max(np.abs(problem.a_bar @ x - problem.d + lap @ y))),
+              float(np.max(np.abs(lap @ lam))))
+    return ReferenceSolution(x, lam, float(np.sum(np.abs(x))), _certified(kkt, tol, "demo l1"),
                              method="lp-certificate", y_star=y)

@@ -53,18 +53,20 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="integrate one experiment and write artifacts")
-    run.add_argument("--problem", default=None, help="catalogue name; omit when --config carries problem_spec")
+    # no flag has a default: a flag overrides the config file, which overrides
+    # the defaults stated once in _validate, _build_problem and _settings
+    run.add_argument("--problem", help="catalogue name; omit when --config carries problem_spec")
     run.add_argument("--system", required=True, choices=sorted(SYSTEMS))
-    run.add_argument("--alpha", default="2", help="value or comma-separated sweep, e.g. 2,4,6")
-    run.add_argument("--beta", type=float, default=1.0)
-    run.add_argument("--t0", type=float, default=1.0)
-    run.add_argument("--tf", type=float, default=100.0)
-    run.add_argument("--mu0", type=float, default=0.1)
-    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--alpha", help="value or comma-separated sweep, e.g. 2,4,6")
+    run.add_argument("--beta", type=float)
+    run.add_argument("--t0", type=float)
+    run.add_argument("--tf", type=float)
+    run.add_argument("--mu0", type=float)
+    run.add_argument("--seed", type=int)
     run.add_argument("--out", required=True)
-    run.add_argument("--rel-tol", type=float, default=1e-6)
-    run.add_argument("--abs-tol", type=float, default=1e-8)
-    run.add_argument("--max-steps", type=int, default=3_000_000)
+    run.add_argument("--rel-tol", type=float)
+    run.add_argument("--abs-tol", type=float)
+    run.add_argument("--max-steps", type=int)
     run.add_argument("--config", help="JSON config file; flags override its entries")
 
     sub.add_parser("verify", help="run the acceptance suite")

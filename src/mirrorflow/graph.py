@@ -40,16 +40,6 @@ def ring(n: int) -> UndirectedGraph:
     return UndirectedGraph(n, a)
 
 
-def path_graph(n: int) -> UndirectedGraph:
-    """Unit-weight path on n >= 1 nodes (for n = 1 this is the empty graph)."""
-    if n < 1:
-        raise ParameterError("path needs at least 1 node")
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = a[i + 1, i] = 1.0
-    return UndirectedGraph(n, a)
-
-
 def from_edges(n: int, edges, weights=None) -> UndirectedGraph:
     a = np.zeros((n, n))
     weights = weights if weights is not None else [1.0] * len(edges)

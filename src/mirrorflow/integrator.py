@@ -11,7 +11,7 @@ identical inputs reproduces the trajectory bit for bit.
 Stage evaluations that raise a domain or arithmetic error (division by zero
 included) or return non-finite values are treated as an infinitely large
 error estimate: the step is rejected and retried with a smaller h. Only if h
-underflows min_step does integration abort, naming the failure time.
+underflows ``_MIN_STEP`` does integration abort, naming the failure time.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+_MIN_STEP = 1e-12  # a step below this aborts the integration
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,11 @@ class IntegratorConfig:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-8
     initial_step: float | None = None
-    min_step: float = 1e-12
     max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ParameterError("tolerances must be positive")
-        if not self.min_step > 0:
-            raise ParameterError("min_step must be positive")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be >= 1")
 
@@ -151,7 +149,7 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
         raise NumericError(f"vector field is not evaluable at the initial time t = {t0}")
 
     h = config.initial_step or _initial_step(t0, y0, k0, config.rel_tol, config.abs_tol, tf)
-    h = float(np.clip(h, config.min_step, tf - t0))
+    h = float(np.clip(h, _MIN_STEP, tf - t0))
 
     out_states = np.empty((sample_times.size, y0.size))
     out_idx = 0
@@ -227,7 +225,7 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
             rejected += 1
             shrink = 0.25 if not np.isfinite(err) else max(0.1, min(0.9, _SAFETY * err ** (-0.2)))
             h *= shrink
-            if h < config.min_step:
+            if h < _MIN_STEP:
                 fail(f"step size underflow (h = {h:.3e}) at t = {t:.6g}; "
                      "the field may be non-finite or outside its domain here", t)
 

@@ -97,15 +97,18 @@ def test_list_filter_and_unknown(capsys):
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": "scalar", "system": "apdmd",
-                               "alpha": "2", "tf": 10.0}))
+    cfg.write_text(json.dumps({"problem": "scalar", "system": "apdmd", "alpha": "3",
+                               "beta": 2, "tf": 10.0, "rel_tol": 1e-5}))
     out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg), "--problem", "scalar",
-                 "--system", "apdmd", "--alpha", "2", "--tf", "12",
+    code = main(["run", "--config", str(cfg), "--system", "apdmd", "--tf", "12",
                  "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["tf"] == 12.0
+    assert summary["tf"] == 12.0  # the flag wins over the file
+    # values set only in the file are honoured, not replaced by flag defaults
+    assert (summary["alpha"], summary["beta"]) == (3.0, 2.0)
+    assert summary["integrator"]["rel_tol"] == 1e-5
+    assert summary["integrator"]["abs_tol"] == 1e-8  # set nowhere: the default
 
 
 def test_inline_problem_spec(tmp_path):

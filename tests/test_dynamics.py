@@ -3,7 +3,7 @@ import pytest
 
 from mirrorflow.dynamics import SystemParams, apdmd_second_order_field, build_field
 from mirrorflow.errors import ParameterError
-from mirrorflow.graph import path_graph
+from mirrorflow.graph import from_edges
 from mirrorflow.integrator import IntegratorConfig, integrate
 from mirrorflow.mirror_maps import EuclideanMap, NegEntropyMap, ProjectionMap
 from mirrorflow.problems import (
@@ -135,7 +135,7 @@ def test_admd_reduces_to_centralized_when_graph_is_trivial():
     a1 = rng.normal(size=(2, 3))
     d1 = rng.normal(size=2)
     mono = MonotropicProblem((obj,), (a1,), (d1,), (EuclideanMap(3),),
-                             path_graph(1), m=2)
+                             from_edges(1, []), m=2)
     params = SystemParams(alpha=3.0, beta=1.0)
     field = build_field("admd", mono, params)
     cen = ConstrainedProblem(obj, a1, d1, EuclideanMap(3))

@@ -9,7 +9,6 @@ from mirrorflow.graph import (
     is_connected,
     laplacian,
     lift,
-    path_graph,
     ring,
 )
 from mirrorflow.numerics import SeededRng
@@ -45,7 +44,7 @@ def test_ring_connected_and_minimum_size():
 
 
 def test_laplacian_row_sums_symmetry_psd():
-    for g in (ring(5), path_graph(4), from_edges(4, [(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 0.5])):
+    for g in (ring(5), from_edges(4, [(0, 1), (1, 2), (2, 3)]), from_edges(4, [(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 0.5])):
         lap = laplacian(g)
         assert np.allclose(lap.sum(axis=1), 0.0)
         assert np.array_equal(lap, lap.T)
@@ -64,7 +63,7 @@ def test_lift_kernel_contains_consensus():
 
 
 def test_two_node_path_residual():
-    lifted = lift(path_graph(2), 1)
+    lifted = lift(from_edges(2, [(0, 1)]), 1)
     assert consensus_residual(lifted, np.array([0.0, 2.0])) == 4.0
 
 

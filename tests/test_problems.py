@@ -5,6 +5,7 @@ from mirrorflow._oracle import _block_projector
 from mirrorflow.errors import NumericError, ParameterError
 from mirrorflow.problems import (
     PROBLEMS,
+    ConstrainedProblem,
     build_consensus_quadratic,
     build_dbp_col,
     build_dbp_row,
@@ -104,11 +105,70 @@ def test_reference_scalar_kkt_by_hand():
     assert abs(ref.f_star - 0.5) <= 1e-7
 
 
+def _consensus_stationarity(problem, x_bar, lam):
+    """Worst violation over the agents of 0 in d||x_bar||_1 + (L lam)_i + A_i^T w_i.
+
+    w_i is fitted by least squares on the support rows; returns the support
+    residual |g_S - sign x_S| and the off-support excess |g| - 1 of
+    g = -(L lam)_i - A_i^T w_i.
+    """
+    on = x_bar != 0
+    support, excess = 0.0, -np.inf
+    for mirror, l_lam in zip(problem.mirrors, problem.blocks(problem.lifted.matrix @ lam)):
+        a_i = mirror.projector.a
+        w, *_ = np.linalg.lstsq(a_i[:, on].T, -l_lam[on] - np.sign(x_bar[on]), rcond=None)
+        g = -l_lam - a_i.T @ w
+        support = max(support, float(np.max(np.abs(g[on] - np.sign(x_bar[on])))))
+        excess = max(excess, float(np.max(np.abs(g[~on]))) - 1.0)
+    return support, excess
+
+
+def _l1_subgradient_excess(g, x):
+    on = x != 0
+    return max(float(np.max(np.abs(g))) - 1.0, float(np.max(np.abs(g[on] - np.sign(x[on])))))
+
+
 def test_reference_solutions_recheck_feasibility():
-    for name in ("logregress", "nbp", "d_bp_c"):
-        p = PROBLEMS[name](1)
-        ref = reference_solution(p, tol=1e-8)
-        assert ref.kkt_residual <= 1e-8
+    for name, seed in (("logregress", 1), ("nbp", 1), ("nbp", 54), ("d_bp_c", 1), ("d_bp_c", 54),
+                       ("d_bp_r", 1), ("d_bp_r", 2), ("d_bp_r", 3), ("d_bp_r", 54)):
+        _recheck_reference(name, seed)
+
+
+def _recheck_reference(name, seed):
+    p = PROBLEMS[name](seed)
+    ref = reference_solution(p, tol=1e-8)
+    assert ref.kkt_residual <= 1e-8
+    x, lam = ref.x_star, ref.lam_star
+    if isinstance(p, ConstrainedProblem):
+        assert np.max(np.abs(p.a @ x - p.b)) <= 1e-8
+    if name == "nbp":  # s = 1 + A^T lam >= 0, zero on the support of x >= 0
+        s = 1.0 + p.a.T @ lam
+        assert np.min(x) >= 0 and np.min(s) >= -1e-8 and np.max(np.abs(s[x > 0])) <= 1e-8
+    if name == "d_bp_c":  # lam is one eta per agent, certifying the summed LP
+        eta = lam[:p.m]
+        assert np.array_equal(lam, np.tile(eta, p.n_agents))
+        assert np.max(np.abs(sum(a @ xi for a, xi in zip(p.a_blocks, p.blocks(x)))
+                             - sum(p.d_blocks))) <= 1e-8
+        assert np.max(np.abs(p.a_bar @ x - p.d + p.lifted.matrix @ ref.y_star)) <= 1e-8
+        assert _l1_subgradient_excess(-np.hstack(p.a_blocks).T @ eta, x) <= 1e-8
+    if name == "d_bp_r":  # every agent holds x_bar and is stationary on its own
+        x_bar = p.blocks(x)[0]
+        assert np.array_equal(p.blocks(x), np.tile(x_bar, (p.n_agents, 1)))
+        for mirror in p.mirrors:
+            assert np.max(np.abs(mirror.projector.a @ x_bar - mirror.projector.b)) <= 1e-8
+        support, excess = _consensus_stationarity(p, x_bar, lam)
+        assert support <= 1e-8 and excess <= 1e-8
+
+
+def test_non_consensus_shift_of_the_multiplier_fails_the_recheck():
+    p = build_dbp_row(1)
+    ref = reference_solution(p, tol=1e-8)
+    x_bar = p.blocks(ref.x_star)[0]
+    delta = np.random.default_rng(5).normal(size=ref.lam_star.size)
+    mean = np.tile(p.blocks(delta).mean(axis=0), p.n_agents)
+    # a consensus shift is in the kernel of L and still certifies
+    assert max(_consensus_stationarity(p, x_bar, ref.lam_star + mean)) <= 1e-8
+    assert max(_consensus_stationarity(p, x_bar, ref.lam_star + (delta - mean))) > 0.1
 
 
 def test_consensus_quadratic_optimum():
