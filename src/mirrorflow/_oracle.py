@@ -5,16 +5,16 @@ inner solver. The returned KKT residual is the max of the natural-map
 stationarity residual ||x - P_X(x - (grad f + A^T lam))||_inf and the
 constraint violation.
 
-L1 problems: one linear program (HiGHS), min ||x||_1 subject to the stacked
-affine constraints, solved exactly and certified by an explicit check of the
-subgradient conditions (``_l1_residual``), so the optimum never depends on
-any iterative tolerance of ours. The DEMO multiplier is the LP dual repeated
-per agent. The consensus multiplier is built from the LP dual in closed
-form, by one least-squares solve with the graph Laplacian L_n, and each
-agent's stationarity is certified again.
+L1 problems: one linear program, min ||x||_1 subject to the stacked affine
+constraints, solved exactly by a dense two-phase simplex with Bland's rule
+(``_min_l1``) and certified by an explicit check of the subgradient
+conditions (``_l1_residual``), so a wrong vertex or dual fails closed. The
+DEMO multiplier is the LP dual repeated per agent, and its y* is one
+least-squares solve with the graph Laplacian L_n. The consensus multiplier
+is built from the LP dual in closed form, by one least-squares solve with
+L_n, and each agent's stationarity is certified again.
 
-scipy is imported only inside ``_min_l1``: a process that solves only
-smooth problems never loads it.
+The oracle needs numpy only.
 """
 
 from __future__ import annotations
@@ -163,34 +163,75 @@ def _certified(kkt: float, tol: float, what: str) -> float:
     return kkt
 
 
+_PIVOT_TOL = 1e-9
+_MAX_PIVOTS = 5000
+
+
+def _simplex(a, b, cost, basis, n_enter):
+    """Revised simplex for min cost.z s.t. a z = b, z >= 0, from the feasible
+    basis ``basis`` (updated in place), with Bland's rule against cycling on
+    degenerate vertices; columns from n_enter on never enter. Returns the
+    dual y = B^-T cost_B of the optimal basis."""
+    a_in, cost_in = np.ascontiguousarray(a[:, :n_enter].T), cost[:n_enter]
+    for _ in range(_MAX_PIVOTS):
+        b_inv = np.linalg.inv(a[:, basis])  # one factorization of the m x m basis per pivot
+        y = cost[basis] @ b_inv
+        reduced = cost_in - a_in @ y
+        j = int((reduced < -_PIVOT_TOL).argmax())  # Bland: the first improving column enters
+        if reduced[j] >= -_PIVOT_TOL:
+            return y
+        w = b_inv @ a_in[j]
+        rows = (w > _PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
+            raise OracleError("l1 linear program is unbounded")
+        ratios = np.maximum(b_inv[rows] @ b, 0.0) / w[rows]
+        ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        basis[ties[basis[ties].argmin()]] = j  # Bland: the smallest tied basic index leaves
+    raise OracleError(f"simplex did not finish in {_MAX_PIVOTS} pivots")
+
+
 def _min_l1(a, b, nonnegative: bool):
     """min ||x||_1 s.t. a x = b (and x >= 0 when nonnegative); returns x, lam
     and the KKT residual.
 
-    lam is the sign of the HiGHS marginals for which -a^T lam is an l1
-    subgradient certifying x (``_l1_residual``).
+    Two-phase simplex on the standard form min 1.z s.t. a_lp z = b, z >= 0,
+    with x = z when nonnegative and x = z+ - z- otherwise. Rows are flipped so
+    that b >= 0, and Phase I starts from the artificial identity basis. lam is
+    minus the dual of the optimal basis, so -a^T lam is the l1 subgradient
+    that certifies x (``_l1_residual``).
     """
-    from scipy.optimize import linprog
+    m, n = a.shape
+    a_lp = a if nonnegative else np.hstack([a, -a])
+    n_lp = a_lp.shape[1]
+    flip = np.where(b < 0, -1.0, 1.0)
+    a_ph, rhs = np.hstack([flip[:, None] * a_lp, np.eye(m)]), flip * b
+    basis = np.arange(n_lp, n_lp + m)
+    _simplex(a_ph, rhs, np.concatenate([np.zeros(n_lp), np.ones(m)]), basis, n_lp)
+    infeasibility = float(np.sum(np.linalg.solve(a_ph[:, basis], rhs)[basis >= n_lp]))
+    if infeasibility > _PIVOT_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+        raise OracleError(f"l1 linear program is infeasible (phase I residual {infeasibility:.3e})")
+    for row in np.flatnonzero(basis >= n_lp):  # drive the zero-level artificials out
+        w = np.linalg.solve(a_ph[:, basis], a_ph[:, :n_lp])[row]
+        pivots = np.flatnonzero(np.abs(w) > _PIVOT_TOL)
+        if pivots.size == 0:
+            raise OracleError("l1 linear program has linearly dependent constraint rows")
+        basis[row] = pivots[0]
+    y = _simplex(a_ph, rhs, np.concatenate([np.ones(n_lp), np.zeros(m)]), basis, n_lp)
 
-    n = a.shape[1]
-    a_lp = a if nonnegative else np.hstack([a, -a])  # x = x+ - x- when signed
-    res = linprog(c=np.ones(a_lp.shape[1]), A_eq=a_lp, b_eq=b, bounds=(0, None), method="highs")
-    if not res.success:
-        raise OracleError(f"l1 linear program failed: {res.message}")
-    x = res.x[:n] if nonnegative else res.x[:n] - res.x[n:]
+    z = np.zeros(n_lp + m)
+    z[basis] = np.maximum(np.linalg.solve(a_ph[:, basis], rhs), 0.0)
+    x = z[:n] if nonnegative else z[:n] - z[n:n_lp]
     x = np.where(np.abs(x) < 1e-11, 0.0, x)
-    marginals = np.asarray(res.eqlin.marginals, dtype=float)
+    lam = -flip * y
     feas = float(np.max(np.abs(a @ x - b)))
-    for lam in (marginals, -marginals):
-        stat = _l1_residual(-(a.T @ lam), x, nonnegative)
-        if stat <= 1e-6:
-            return x, lam, max(feas, stat)
-    raise OracleError("LP duals do not certify l1 optimality under either sign convention")
+    return x, lam, max(feas, _l1_residual(-(a.T @ lam), x, nonnegative))
 
 
 def solve_constrained_l1(problem: ConstrainedProblem, tol: float) -> ReferenceSolution:
-    nonneg = euclidean_projector(problem.mirror).kind in ("orthant",)
-    x, lam, kkt = _min_l1(problem.a, problem.b, nonnegative=nonneg)
+    kind = euclidean_projector(problem.mirror).kind
+    if kind not in ("free", "orthant"):
+        raise OracleError(f"l1 oracle solves over free space or the orthant, not a {kind!r} set")
+    x, lam, kkt = _min_l1(problem.a, problem.b, nonnegative=kind == "orthant")
     return ReferenceSolution(x, lam, float(np.sum(np.abs(x))),
                              _certified(kkt, tol, "l1 certificate"), method="lp-certificate")
 
@@ -227,10 +268,12 @@ def solve_demo_l1(problem: MonotropicProblem, tol: float) -> ReferenceSolution:
     b_total = np.sum(np.stack(problem.d_blocks), axis=0)
     x, eta, kkt = _min_l1(a_full, b_total, nonnegative=False)
 
-    lam = np.tile(eta, problem.n_agents)
-    lap = problem.lifted.matrix
-    y, *_ = np.linalg.lstsq(lap, problem.d - problem.a_bar @ x, rcond=None)
-    kkt = max(kkt, float(np.max(np.abs(problem.a_bar @ x - problem.d + lap @ y))),
-              float(np.max(np.abs(lap @ lam))))
+    k, lifted = problem.n_agents, problem.lifted
+    lam = np.tile(eta, k)
+    # L = L_n (x) I, so the minimum-norm y of L y = d - Abar x comes from L_n
+    r = problem.d - problem.a_bar @ x
+    y = np.linalg.lstsq(lifted.l_n, r.reshape(k, -1), rcond=None)[0].ravel()
+    kkt = max(kkt, float(np.max(np.abs(problem.a_bar @ x - problem.d + lifted.apply(y)))),
+              float(np.max(np.abs(lifted.apply(lam)))))
     return ReferenceSolution(x, lam, float(np.sum(np.abs(x))), _certified(kkt, tol, "demo l1"),
                              method="lp-certificate", y_star=y)

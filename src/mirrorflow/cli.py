@@ -56,14 +56,14 @@ def _parser() -> argparse.ArgumentParser:
     # no flag has a default: a flag overrides the config file, which overrides
     # the defaults stated once in _validate, _build_problem and _settings
     run.add_argument("--problem", help="catalogue name; omit when --config carries problem_spec")
-    run.add_argument("--system", required=True, choices=sorted(SYSTEMS))
+    run.add_argument("--system", choices=sorted(SYSTEMS), help="flow to integrate, here or in --config")
     run.add_argument("--alpha", help="value or comma-separated sweep, e.g. 2,4,6")
     run.add_argument("--beta", type=float)
     run.add_argument("--t0", type=float)
     run.add_argument("--tf", type=float)
     run.add_argument("--mu0", type=float)
     run.add_argument("--seed", type=int)
-    run.add_argument("--out", required=True)
+    run.add_argument("--out", help="output directory, here or in --config")
     run.add_argument("--rel-tol", type=float)
     run.add_argument("--abs-tol", type=float)
     run.add_argument("--max-steps", type=int)
@@ -216,6 +216,9 @@ unset multiplot
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    for key in ("system", "out"):
+        if not cfg.get(key):
+            raise UsageError(f"no {key} given: use --{key} or a config {key!r} entry")
     alphas = _validate(cfg)
     out_root = Path(cfg["out"])
     if len(alphas) == 1:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -109,6 +110,40 @@ def test_config_file_with_flag_override(tmp_path):
     assert (summary["alpha"], summary["beta"]) == (3.0, 2.0)
     assert summary["integrator"]["rel_tol"] == 1e-5
     assert summary["integrator"]["abs_tol"] == 1e-8  # set nowhere: the default
+
+
+def test_config_file_carries_system_and_out(tmp_path):
+    out = tmp_path / "from_file"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "scalar", "system": "apdmd", "tf": 5.0,
+                               "out": str(out)}))
+    assert main(["run", "--config", str(cfg)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["system"], summary["tf"]) == ("apdmd", 5.0)
+
+
+@pytest.mark.parametrize("missing", ["system", "out"])
+def test_run_without_system_or_out_is_usage_error(missing, tmp_path, capsys):
+    entries = {"problem": "scalar", "system": "apdmd", "tf": 5.0, "out": str(tmp_path / "out")}
+    del entries[missing]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"no {missing} given" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_l1_spec_over_a_box_fails_before_any_output(tmp_path, capsys):
+    # the l1 oracle models free space and the orthant only; a box used to be
+    # treated as free space, with f* = 1 below the true 1.5
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"problem_spec": {
+        "a": [[1, 2]], "b": [2], "objective": {"kind": "l1"},
+        "set": {"kind": "box", "lo": [-3, -3], "hi": [3, 0.5]}}}))
+    out = tmp_path / "out"
+    assert main(["run", "--system", "sapdmd", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "'box'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_inline_problem_spec(tmp_path):
@@ -255,11 +290,12 @@ print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.star
 """
 
 
-@pytest.mark.parametrize("problem, system, extra, solves_lp", [
-    ("scalar", "apdmd", [], False),
-    ("nbp", "sapdmd", ["--beta", "10"], True),
+@pytest.mark.parametrize("problem, system, extra", [
+    ("scalar", "apdmd", []),
+    ("nbp", "sapdmd", ["--beta", "10"]),
 ])
-def test_scipy_is_loaded_only_to_solve_an_lp(problem, system, extra, solves_lp, tmp_path):
+def test_no_run_loads_scipy(problem, system, extra, tmp_path):
+    # the l1 route solves its LP too: the package runs on numpy alone
     src = str(Path(mirrorflow.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -270,8 +306,23 @@ def test_scipy_is_loaded_only_to_solve_an_lp(problem, system, extra, solves_lp, 
                           capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
-    assert ("scipy.optimize" in result["scipy"]) == solves_lp
-    if not solves_lp:
-        assert result["scipy"] == []
+    assert result["scipy"] == []
     summary = json.loads((out / "summary.json").read_text())
     assert summary["f_star"] == reference_solution(PROBLEMS[problem](1)).f_star
+
+
+def test_no_package_module_imports_scipy():
+    package = Path(mirrorflow.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names
+                          if n.split(".")[0] == "scipy"]
+    assert len(list(package.glob("*.py"))) > 10
+    assert offenders == []

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mirrorflow._oracle import _block_projector
-from mirrorflow.errors import NumericError, ParameterError
+from mirrorflow import _oracle
+from mirrorflow._oracle import _block_projector, _l1_residual, _min_l1
+from mirrorflow.errors import NumericError, OracleError, ParameterError
 from mirrorflow.problems import (
     PROBLEMS,
     ConstrainedProblem,
@@ -14,6 +15,7 @@ from mirrorflow.problems import (
     build_logistic_centralized,
     build_nbp,
     build_scalar,
+    problem_from_spec,
     reference_solution,
 )
 
@@ -171,6 +173,14 @@ def test_non_consensus_shift_of_the_multiplier_fails_the_recheck():
     assert max(_consensus_stationarity(p, x_bar, ref.lam_star + (delta - mean))) > 0.1
 
 
+def test_demo_graph_variable_is_the_dense_minimum_norm_solution():
+    # y* comes from L_n alone; L = L_n (x) I gives the dense lstsq solution
+    p = build_dbp_col(54)
+    ref = reference_solution(p, tol=1e-8)
+    y_dense = np.linalg.lstsq(p.lifted.matrix, p.d - p.a_bar @ ref.x_star, rcond=None)[0]
+    assert np.max(np.abs(ref.y_star - y_dense)) <= 1e-10 * max(1.0, np.max(np.abs(y_dense)))
+
+
 def test_consensus_quadratic_optimum():
     p = build_consensus_quadratic()
     ref = reference_solution(p, tol=1e-9)
@@ -203,3 +213,83 @@ def test_stacked_box_projection_is_bitwise_the_per_agent_projection():
     with pytest.raises(NumericError):  # the stacked path still validates its input
         proj(np.full(lo.size, np.nan))
 
+
+
+def _linprog_l1(a, b, nonnegative):
+    """min ||x||_1 s.t. a x = b (x >= 0) by scipy's HiGHS: an independent oracle."""
+    from scipy.optimize import linprog
+
+    a_lp = a if nonnegative else np.hstack([a, -a])
+    res = linprog(np.ones(a_lp.shape[1]), A_eq=a_lp, b_eq=b, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
+def _assert_matches_linprog(a, b, nonnegative):
+    x, lam, kkt = _min_l1(a, b, nonnegative)
+    f_ref = _linprog_l1(a, b, nonnegative)
+    assert abs(np.sum(np.abs(x)) - f_ref) <= 1e-10 * max(1.0, abs(f_ref))
+    assert _l1_residual(-(a.T @ lam), x, nonnegative) <= 1e-9
+    assert np.max(np.abs(a @ x - b)) <= 1e-9 and kkt <= 1e-9
+    if nonnegative:
+        assert np.min(x) >= 0
+
+
+@pytest.mark.parametrize("nonnegative", [False, True], ids=["signed", "nonnegative"])
+@pytest.mark.parametrize("shape", [(3, 8), (10, 40), (10, 60), (20, 120)])
+def test_min_l1_matches_linprog_on_random_instances(shape, nonnegative):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for _ in range(3):
+        a = rng.normal(size=shape)
+        x0 = rng.random(shape[1]) if nonnegative else rng.normal(size=shape[1])
+        _assert_matches_linprog(a, a @ x0, nonnegative)
+
+
+@pytest.mark.parametrize("nonnegative", [False, True], ids=["signed", "nonnegative"])
+@pytest.mark.parametrize("shape", [(10, 40), (10, 60), (20, 120)])
+def test_min_l1_matches_linprog_on_sparse_signals(shape, nonnegative):
+    # b = A x0 with x0 2-sparse: the degenerate vertices of the catalogue's
+    # recovery problems, where a pivoting rule without anti-cycling would loop
+    rng = np.random.default_rng(7 * shape[1])
+    for _ in range(5):
+        a = rng.normal(size=shape)
+        x0 = np.zeros(shape[1])
+        support = rng.choice(shape[1], size=2, replace=False)
+        x0[support] = rng.random(2) + 0.5 if nonnegative else rng.normal(size=2)
+        _assert_matches_linprog(a, a @ x0, nonnegative)
+
+
+@pytest.mark.parametrize("nonnegative", [False, True], ids=["signed", "nonnegative"])
+def test_min_l1_matches_linprog_with_a_duplicated_column(nonnegative):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 20))
+    a[:, 11] = a[:, 4]
+    x0 = np.zeros(20)
+    x0[[4, 15]] = [1.5, 0.5]
+    _assert_matches_linprog(a, a @ x0, nonnegative)
+
+
+@pytest.mark.parametrize("a, b, nonnegative, match", [
+    (np.abs(np.random.default_rng(1).normal(size=(4, 12))) + 0.1, -np.ones(4), True, "infeasible"),
+    (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), np.array([1.0, 3.0]), False, "infeasible"),
+    (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]), np.array([1.0, 2.0]), False, "dependent"),
+], ids=["nonnegative-infeasible", "rank-deficient-inconsistent", "rank-deficient-consistent"])
+def test_min_l1_raises_when_it_cannot_certify(a, b, nonnegative, match):
+    with pytest.raises(OracleError, match=match):
+        _min_l1(a, b, nonnegative)
+
+
+def test_min_l1_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr(_oracle, "_MAX_PIVOTS", 3)
+    p = build_nbp(1)
+    with pytest.raises(OracleError, match="did not finish in 3 pivots"):
+        _min_l1(p.a, p.b, True)
+
+
+def test_l1_oracle_rejects_a_set_it_does_not_model():
+    # the LP knows free space and the orthant only; a box optimum would be
+    # reported as the unconstrained x* = (0, 1), outside the box
+    p = problem_from_spec({"a": [[1, 2]], "b": [2], "objective": {"kind": "l1"},
+                           "set": {"kind": "box", "lo": [-3, -3], "hi": [3, 0.5]}})
+    with pytest.raises(OracleError, match="'box'"):
+        reference_solution(p, tol=1e-8)
