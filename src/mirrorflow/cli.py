@@ -8,21 +8,21 @@
 (one row per sample), ``summary.json`` (certificate value, fitted slopes,
 bound-check ratios, warnings, runtime) and ``plot.gp`` (a gnuplot script
 regenerating the log-log figures from the CSV). A comma-separated
-``--alpha 2,4,6`` sweep runs each value as an independent job in a thread
-pool capped by the MIRRORFLOW_THREADS environment variable, each writing to
-its own subdirectory. ``verify`` executes the acceptance suite and exits
-nonzero on any failure.
+``--alpha 2,4,6`` sweep runs the values one after another on one problem
+and one reference solution, each writing to its own ``alpha_<a>``
+subdirectory. ``verify`` executes the acceptance suite and exits nonzero on
+any failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import inspect
+import math
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +34,6 @@ from .integrator import IntegratorConfig, integrate
 from .problems import PROBLEMS, problem_from_spec, reference_solution
 from .smoothing import MuSchedule
 from .diagnostics import evaluate_run
-
-_CATALOGUE_NOTES = {
-    "scalar": "one-dimensional quadratic with a single equality constraint",
-    "logregress": "centralized logistic loss on the unit 4-simplex, two equality constraints",
-    "dis_log": "4-agent ring, logistic losses, simplex/orthant/sphere/half-space local sets",
-    "d_sp": "10-agent ring, quadratic costs, box sets, shared per-coordinate supply",
-    "nbp": "nonnegative l1 recovery from 10 orthonormal Gaussian measurements in R^40",
-    "d_bp_r": "row-partitioned l1 recovery, 5 agents with affine local sets, R^60 signal",
-    "d_bp_c": "column-partitioned l1 recovery, 10 agents coupled by shared measurements",
-    "consensus_quadratic": "two Euclidean quadratic agents on one weighted edge",
-}
-
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mirrorflow",
@@ -91,26 +79,29 @@ def _load_config(args) -> dict:
     return merged
 
 
-def _validate(cfg: dict) -> list:
-    """Build the problem once and check that the system accepts it and every
-    alpha's settings, before any output is written; returns the alphas."""
+def _validate(cfg: dict) -> tuple:
+    """Build the problem and each alpha's settings, and check that the system
+    accepts them, before any output is written; returns (problem, [settings])."""
     name = cfg.get("problem")
     if "problem_spec" not in cfg and not name:
         raise UsageError("no problem given: use --problem or a config problem_spec")
     if "problem_spec" not in cfg and name not in PROBLEMS:
         raise UsageError(
             f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}")
-    if reason := mismatch(cfg["system"], _build_problem(cfg)):
-        raise UsageError(reason)
     try:  # a ParameterError is a ValueError, as is a value that is not a number
+        problem = _build_problem(cfg)
+        if reason := mismatch(cfg["system"], problem):
+            raise ParameterError(reason)
         alphas = [float(a) for a in str(cfg.get("alpha", "2")).split(",") if a.strip()]
         if not alphas:
             raise ParameterError("no alpha given")
-        for alpha in alphas:
-            _settings(cfg, alpha)
+        dirs = [f"alpha_{a:g}" for a in alphas]
+        if len(set(dirs)) < len(dirs):
+            raise ParameterError(f"alphas {cfg['alpha']} repeat an output directory: "
+                                 f"{', '.join(dirs)}")
+        return problem, [_settings(cfg, alpha) for alpha in alphas]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return alphas
 
 
 def _build_problem(cfg: dict):
@@ -127,22 +118,20 @@ def _settings(cfg: dict, alpha: float):
     mu = MuSchedule(float(cfg.get("mu0", 0.1)), alpha, t0) if SYSTEMS[system].smoothed else None
     params = SystemParams(alpha=alpha, beta=float(cfg.get("beta", 1.0)), t0=t0, mu=mu)
     check_params(system, params)
-    if not tf > t0:
-        raise ParameterError(f"need tf > t0, got [{t0}, {tf}]")
+    if not t0 < tf < math.inf:
+        raise ParameterError(f"need a finite tf > t0, got [{t0}, {tf}]")
     icfg = IntegratorConfig(rel_tol=float(cfg.get("rel_tol", 1e-6)),
                             abs_tol=float(cfg.get("abs_tol", 1e-8)),
                             max_steps=int(cfg.get("max_steps", 3_000_000)))
     return params, icfg, tf
 
 
-def run_single(cfg: dict, out_dir: Path) -> dict:
+def run_single(cfg: dict, problem, ref, settings, out_dir: Path) -> dict:
+    """Integrate one alpha's flow on the built problem, evaluate it against
+    the reference solution and write its outputs to out_dir."""
     started = time.time()
-    problem = _build_problem(cfg)
-    cfg = {**cfg, "problem": cfg.get("problem", "custom")}
-    alpha = float(cfg["alpha"])
-    params, icfg, tf = _settings(cfg, alpha)
+    params, icfg, tf = settings
     field = build_field(cfg["system"], problem, params)
-    ref = reference_solution(problem, tol=1e-8)
     traj = integrate(field.rhs, field.initial_state, params.t0, tf, icfg)
     report = evaluate_run(field, traj, ref)
 
@@ -151,7 +140,7 @@ def run_single(cfg: dict, out_dir: Path) -> dict:
     summary = {
         "problem": cfg["problem"],
         "system": cfg["system"],
-        "alpha": alpha,
+        "alpha": params.alpha,
         "beta": params.beta,
         "t0": params.t0,
         "tf": tf,
@@ -172,7 +161,7 @@ def run_single(cfg: dict, out_dir: Path) -> dict:
     }
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, allow_nan=True)
-    _write_plot_script(out_dir / "plot.gp", cfg["problem"], cfg["system"], alpha)
+    _write_plot_script(out_dir / "plot.gp", cfg["problem"], cfg["system"], params.alpha)
     return summary
 
 
@@ -219,23 +208,18 @@ def cmd_run(args) -> int:
     for key in ("system", "out"):
         if not cfg.get(key):
             raise UsageError(f"no {key} given: use --{key} or a config {key!r} entry")
-    alphas = _validate(cfg)
+    problem, jobs = _validate(cfg)
+    ref = reference_solution(problem, tol=1e-8)
     out_root = Path(cfg["out"])
-    if len(alphas) == 1:
-        summary = run_single({**cfg, "alpha": alphas[0]}, out_root)
+    if len(jobs) == 1:
+        summary = run_single(cfg, problem, ref, jobs[0], out_root)
         print(json.dumps(summary, indent=2))
         return 0
-    max_workers = int(os.environ.get("MIRRORFLOW_THREADS", os.cpu_count() or 1))
-    max_workers = max(1, min(max_workers, len(alphas)))
-    jobs = {}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for a in alphas:
-            sub = out_root / f"alpha_{a:g}"
-            jobs[a] = pool.submit(run_single, {**cfg, "alpha": a}, sub)
     failures = 0
-    for a, job in jobs.items():
+    for settings in jobs:
+        a = settings[0].alpha
         try:
-            summary = job.result()
+            summary = run_single(cfg, problem, ref, settings, out_root / f"alpha_{a:g}")
             print(f"alpha={a:g}: ok (v0={summary['v0']:.4g}, "
                   f"slope={summary['slope_gap']:.3f})")
         except Exception as exc:  # one failed job must not hide the others' status
@@ -260,7 +244,8 @@ def cmd_list(args) -> int:
         if needle and needle not in name:
             continue
         kind = "smoothed" if PROBLEMS[name](1).is_smoothed else "smooth"
-        print(f"{name:22s} {kind:9s} {_CATALOGUE_NOTES.get(name, '')}")
+        note = " ".join(inspect.getdoc(PROBLEMS[name]).split()).split(". ")[0].rstrip(".")
+        print(f"{name:22s} {kind:9s} {note}")
     if not needle:
         print()
         for name, spec in sorted(SYSTEMS.items()):

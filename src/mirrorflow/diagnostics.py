@@ -154,6 +154,8 @@ def _positivity(name, times, values) -> BoundCheck:
 
 
 def _integral_plateau(times, integrand, name, guaranteed: bool) -> BoundCheck:
+    if failed := _invalid(name, times, integrand):
+        return failed
     cumulative = np.concatenate([[0.0], np.cumsum(
         0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))])
     total = cumulative[-1]

@@ -22,6 +22,7 @@ mirror-map class it needs. ``mismatch`` and ``build_field`` read that table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +41,12 @@ class SystemParams:
     mu: MuSchedule | None = None
 
     def __post_init__(self):
-        if not self.alpha >= 2:
-            raise ParameterError(f"alpha must be >= 2, got {self.alpha}")
-        if not self.beta > 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
-        if not self.t0 > 0:
-            raise ParameterError(f"t0 must be positive, got {self.t0}")
+        if not 2 <= self.alpha < math.inf:
+            raise ParameterError(f"alpha must be finite and >= 2, got {self.alpha}")
+        if not 0 < self.beta < math.inf:
+            raise ParameterError(f"beta must be finite and positive, got {self.beta}")
+        if not 0 < self.t0 < math.inf:
+            raise ParameterError(f"t0 must be finite and positive, got {self.t0}")
         if self.mu is not None and self.mu.t0 > self.t0:
             raise ParameterError(f"the mu schedule starts at t0 = {self.mu.t0}, "
                                  f"after the system's t0 = {self.t0}")

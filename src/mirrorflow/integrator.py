@@ -54,8 +54,8 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ParameterError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ParameterError("tolerances must be finite and positive")
         if self.max_steps < 1:
             raise ParameterError("max_steps must be >= 1")
 
@@ -121,8 +121,8 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise NumericError("initial state contains non-finite entries")
-    if not tf > t0:
-        raise ParameterError(f"need tf > t0, got [{t0}, {tf}]")
+    if not -math.inf < t0 < tf < math.inf:
+        raise ParameterError(f"need finite t0 < tf, got [{t0}, {tf}]")
 
     if sample_times is None:
         if t0 > 0:

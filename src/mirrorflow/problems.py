@@ -428,15 +428,25 @@ def build_consensus_quadratic(edge_weight: float = 1.0) -> ConsensusProblem:
     return ConsensusProblem(objectives, mirrors, g, block_dim=2, lifted=lift(g, 2))
 
 
+def _seedless(build: Callable) -> Callable:
+    """The catalogue entry (seed) -> problem of a builder that takes no seed,
+    carrying the builder's docstring, which ``mirrorflow list`` prints."""
+    def entry(seed: int = 1):
+        return build()
+
+    entry.__doc__ = build.__doc__
+    return entry
+
+
 PROBLEMS: dict[str, Callable] = {
-    "scalar": lambda seed=1: build_scalar(),
-    "logregress": lambda seed=1: build_logistic_centralized(),
-    "dis_log": lambda seed=1: build_dis_logistic(),
+    "scalar": _seedless(build_scalar),
+    "logregress": _seedless(build_logistic_centralized),
+    "dis_log": _seedless(build_dis_logistic),
     "d_sp": build_dist_qp,
     "nbp": build_nbp,
     "d_bp_r": build_dbp_row,
     "d_bp_c": build_dbp_col,
-    "consensus_quadratic": lambda seed=1: build_consensus_quadratic(),
+    "consensus_quadratic": _seedless(build_consensus_quadratic),
 }
 
 

@@ -12,6 +12,7 @@ up under nonnegative combinations (n/4 for the l1 norm in R^n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,12 +69,12 @@ class MuSchedule:
     t0: float = 1.0
 
     def __post_init__(self):
-        if not self.mu0 > 0:
-            raise ParameterError("mu0 must be positive")
-        if not self.alpha >= 2:
-            raise ParameterError("mu schedule needs alpha >= 2")
-        if not self.t0 > 0:
-            raise ParameterError("mu schedule needs t0 > 0")
+        if not 0 < self.mu0 < math.inf:
+            raise ParameterError(f"mu0 must be finite and positive, got {self.mu0}")
+        if not 2 <= self.alpha < math.inf:
+            raise ParameterError("mu schedule needs a finite alpha >= 2")
+        if not 0 < self.t0 < math.inf:
+            raise ParameterError("mu schedule needs a finite t0 > 0")
 
     def mu_at(self, t: float) -> float:
         if t < self.t0:

@@ -71,8 +71,7 @@ def test_incompatible_system_rejected_before_compute(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_alpha_sweep_writes_subdirectories(tmp_path, monkeypatch):
-    monkeypatch.setenv("MIRRORFLOW_THREADS", "2")
+def test_alpha_sweep_writes_subdirectories(tmp_path):
     out = tmp_path / "sweep"
     code = main(["run", "--problem", "scalar", "--system", "apdmd",
                  "--alpha", "2,3", "--tf", "10", "--out", str(out)])
@@ -228,13 +227,23 @@ def test_validate_accepts_exactly_the_compatible_pairs(problem, system, tmp_path
     ("scalar", "apdmd", ["--rel-tol", "0"]),
     ("scalar", "apdmd", ["--alpha", "x"]),
     ("scalar", "apdmd", ["--alpha", ","]),
+    ("scalar", "apdmd", ["--alpha", "2,2.0,3"]),
+    ("scalar", "apdmd", ["--alpha", "2,2.0000001"]),
+    ("scalar", "apdmd", ["--tf", "inf"]),
+    ("scalar", "apdmd", ["--alpha", "inf"]),
+    ("scalar", "apdmd", ["--beta", "inf"]),
+    ("scalar", "apdmd", ["--rel-tol", "inf"]),
+    ("nbp", "sapdmd", ["--beta", "10", "--mu0", "inf"]),
+    ("d_sp", "admd", ["--seed", "-1"]),
 ], ids=["admd-beta", "sadmd-mu0", "alpha", "alpha-sweep", "tf-before-t0", "rel-tol",
-        "alpha-not-a-number", "no-alpha"])
-def test_bad_run_parameters_are_usage_errors(problem, system, flags, tmp_path):
-    # rejected before any job runs: exit 2 and no output directory
+        "alpha-not-a-number", "no-alpha", "alpha-repeated", "alpha-same-directory", "tf-inf",
+        "alpha-inf", "beta-inf", "rel-tol-inf", "sapdmd-mu0-inf", "seed-negative"])
+def test_bad_run_parameters_are_usage_errors(problem, system, flags, tmp_path, capsys):
+    # rejected before any job runs: exit 2, nothing on stdout and no output directory
     out = tmp_path / "x"
     code = main(["run", "--problem", problem, "--system", system, *flags, "--out", str(out)])
     assert code == 2
+    assert capsys.readouterr().out == ""
     assert not out.exists()
 
 
@@ -264,13 +273,12 @@ def test_apdpd_needs_a_projection_map():
 def test_sweep_reports_every_job_when_one_raises(tmp_path, monkeypatch, capsys):
     real = cli.run_single
 
-    def flaky(cfg, out_dir):
-        if cfg["alpha"] == 3.0:
+    def flaky(cfg, problem, ref, settings, out_dir):
+        if settings[0].alpha == 3.0:
             raise RuntimeError("boom")
-        return real(cfg, out_dir)
+        return real(cfg, problem, ref, settings, out_dir)
 
     monkeypatch.setattr(cli, "run_single", flaky)
-    monkeypatch.setenv("MIRRORFLOW_THREADS", "2")
     out = tmp_path / "sweep"
     code = main(["run", "--problem", "scalar", "--system", "apdmd",
                  "--alpha", "2,3", "--tf", "10", "--out", str(out)])
@@ -280,6 +288,73 @@ def test_sweep_reports_every_job_when_one_raises(tmp_path, monkeypatch, capsys):
     assert "alpha=3: FAILED (RuntimeError: boom)" in captured.out
     assert "in flaky" in captured.err  # the traceback of the unexpected error
     assert (out / "alpha_2" / "summary.json").exists()
+
+
+def _outputs(out: Path) -> dict:
+    """A run's three files, with the runtime taken out of the summary."""
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["runtime_seconds"]
+    return {"trajectory.csv": (out / "trajectory.csv").read_bytes(),
+            "plot.gp": (out / "plot.gp").read_bytes(), "summary.json": summary}
+
+
+@pytest.mark.parametrize("problem, system, alphas, flags", [
+    ("nbp", "sapdmd", ["4", "2"], ["--beta", "10", "--tf", "10"]),
+    # alpha 4 fails after its NegEntropyMap clamps; alpha 2 shares that map
+    ("nbp", "sapdmd", ["4", "2"], ["--beta", "1000", "--rel-tol", "1e-2",
+                                   "--abs-tol", "1e-4", "--tf", "10"]),
+    ("dis_log", "adpdmd", ["4", "3"], ["--tf", "5"]),
+], ids=["nbp", "nbp-clamped-job-fails", "dis_log"])
+def test_sweep_jobs_equal_single_runs(problem, system, alphas, flags, tmp_path):
+    argv = ["run", "--problem", problem, "--system", system, *flags]
+    sweep = tmp_path / "sweep"
+    sweep_code = main([*argv, "--alpha", ",".join(alphas), "--out", str(sweep)])
+    codes = []
+    for a in alphas:
+        single = tmp_path / a
+        codes.append(main([*argv, "--alpha", a, "--out", str(single)]))
+        if codes[-1] == 0:
+            assert _outputs(sweep / f"alpha_{a}") == _outputs(single)
+        else:
+            assert not (sweep / f"alpha_{a}").exists()
+    assert sweep_code == max(codes)
+    assert 0 in codes
+
+
+def test_sweep_builds_the_problem_and_solves_the_reference_once(tmp_path, monkeypatch):
+    calls = {"build": 0, "reference": 0}
+    build, solve = PROBLEMS["scalar"], cli.reference_solution
+
+    def counting_build(seed=1):
+        calls["build"] += 1
+        return build(seed)
+
+    def counting_solve(problem, tol):
+        calls["reference"] += 1
+        return solve(problem, tol=tol)
+
+    monkeypatch.setitem(PROBLEMS, "scalar", counting_build)
+    monkeypatch.setattr(cli, "reference_solution", counting_solve)
+    assert main(["run", "--problem", "scalar", "--system", "apdmd", "--alpha", "2,3,4",
+                 "--tf", "5", "--out", str(tmp_path / "sweep")]) == 0
+    assert calls == {"build": 1, "reference": 1}
+
+
+def test_benchmark_launcher_counts_each_sweep_job(tmp_path):
+    # perfbench/launch.py replaces cli.run_single, build_field and integrate
+    root = Path(mirrorflow.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    sidecar = tmp_path / "launch.json"
+    subprocess.run([sys.executable, str(root / "perfbench" / "launch.py"), str(sidecar),
+                    "run", "--problem", "scalar", "--system", "apdmd", "--alpha", "2,3",
+                    "--tf", "5", "--out", str(tmp_path / "sweep")],
+                   env=env, capture_output=True, text=True, check=True)
+    jobs = json.loads(sidecar.read_text())["jobs"]
+    assert [j["alpha"] for j in jobs] == [2.0, 3.0]
+    for job in jobs:
+        assert job["rhs_evals"] > 0
+        assert job["started"] <= job["integrating"]
 
 
 _FRESH_RUN = """

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mirrorflow.diagnostics import (
+    _integral_plateau,
     _lyapunov_monotone,
     _positivity,
     _ratio_check,
@@ -287,8 +288,11 @@ _ONE_NAN = np.array([1.0, 0.5, np.nan, 0.25])
     (lambda s: _lyapunov_monotone(_TIMES, np.where(np.isnan(s), np.inf, s), []), None),
     (lambda s: _positivity("p", _TIMES, s), "3"),
     (lambda s: _positivity("p", _TIMES, np.full(4, np.nan)), "1"),
+    (lambda s: _integral_plateau(_TIMES, s, "i", True), "3"),
+    (lambda s: _integral_plateau(_TIMES, s, "i", False), "3"),
 ], ids=["ratio-quantity", "ratio-bound", "ratio-all-nan-bound", "ratio-neg-inf-bound",
-        "lyapunov", "lyapunov-pos-inf-passes", "positivity", "positivity-all-nan"])
+        "lyapunov", "lyapunov-pos-inf-passes", "positivity", "positivity-all-nan",
+        "plateau", "plateau-informational"])
 def test_checks_fail_on_nan_and_name_the_first_bad_sample(check, first_bad):
     result = check(_ONE_NAN.copy())
     if first_bad is None:  # +inf is the infinite certificate: it passes trivially
