@@ -22,13 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OracleError
-from .problems import (
-    ConsensusProblem,
-    ConstrainedProblem,
-    MonotropicProblem,
-    ReferenceSolution,
-    euclidean_projector,
-)
+from .problems import ConsensusProblem, ConstrainedProblem, MonotropicProblem, ReferenceSolution
 from .projections import Box
 
 _MAX_OUTER = 400
@@ -91,7 +85,7 @@ def _alm(grad_f, lip_f, proj, a, b, tol, x0):
 # --------------------------------------------------------------------------
 
 def solve_constrained_smooth(problem: ConstrainedProblem, tol: float) -> ReferenceSolution:
-    proj = euclidean_projector(problem.mirror).project
+    proj = problem.mirror.projector.project
     obj = problem.objective
     lip = obj.lipschitz if obj.lipschitz is not None else 1.0
     x, lam, kkt = _alm(obj.grad, lip, proj, problem.a, problem.b, tol, np.zeros(problem.dim))
@@ -104,7 +98,7 @@ def _block_projector(problem):
     When every set is a box, one clip onto the stacked box: clipping acts
     entry by entry, so this equals the block-by-block projection bit for bit.
     """
-    sets = [euclidean_projector(m) for m in problem.mirrors]
+    sets = [m.projector for m in problem.mirrors]
     if all(isinstance(s, Box) for s in sets):
         return Box(np.concatenate([s.lo for s in sets]),
                    np.concatenate([s.hi for s in sets])).project
@@ -228,7 +222,7 @@ def _min_l1(a, b, nonnegative: bool):
 
 
 def solve_constrained_l1(problem: ConstrainedProblem, tol: float) -> ReferenceSolution:
-    kind = euclidean_projector(problem.mirror).kind
+    kind = problem.mirror.projector.kind
     if kind not in ("free", "orthant"):
         raise OracleError(f"l1 oracle solves over free space or the orthant, not a {kind!r} set")
     x, lam, kkt = _min_l1(problem.a, problem.b, nonnegative=kind == "orthant")
@@ -245,7 +239,7 @@ def solve_consensus_l1(problem: ConsensusProblem, tol: float) -> ReferenceSoluti
     L lam = r is solvable; since L = L_n (x) I, the minimum-norm lam is the
     least-squares solution of L_n Lam = R on the k x n block matrices.
     """
-    projs = [euclidean_projector(mir) for mir in problem.mirrors]
+    projs = [mir.projector for mir in problem.mirrors]
     if any(p.kind != "affine" for p in projs):
         raise OracleError("consensus l1 oracle expects affine per-agent sets")
     a_full = np.vstack([p.a for p in projs])

@@ -69,10 +69,8 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             merged.update(json.load(fh))
-    for key in ("problem", "system", "alpha", "beta", "t0", "tf", "mu0", "seed",
-                "out", "rel_tol", "abs_tol", "max_steps"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key not in ("command", "config") and val is not None:
             merged[key] = val
     if "problem_spec" in merged and not merged.get("problem"):
         merged["problem"] = "custom"

@@ -156,8 +156,12 @@ def _positivity(name, times, values) -> BoundCheck:
 def _integral_plateau(times, integrand, name, guaranteed: bool) -> BoundCheck:
     if failed := _invalid(name, times, integrand):
         return failed
-    cumulative = np.concatenate([[0.0], np.cumsum(
-        0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))])
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        cumulative = np.concatenate([[0.0], np.cumsum(
+            0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))])
+    if not np.isfinite(cumulative[-1]):
+        return BoundCheck(name, float("nan"), False, "running integral is not finite at "
+                          f"t = {times[np.argmax(~np.isfinite(cumulative))]:.6g}")
     total = cumulative[-1]
     cut = np.searchsorted(times, times[-1] / 10.0)
     growth = (total - cumulative[cut]) / max(total, 1e-30)

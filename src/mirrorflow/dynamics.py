@@ -88,25 +88,6 @@ def _check_time(t: float):
         raise DomainError(f"the dynamics are defined for t > 0, got t = {t}")
 
 
-def _initial_dual(mirror) -> np.ndarray:
-    """Default u0 per map kind, paired with x0 = grad_conj(u0).
-
-    euclidean / simplex_entropy / projection: u0 = 0;
-    neg_entropy: u0 = 1 + ln(x0) at the feasible x0 = exp(-4) (so u0 = -3);
-    itakura_saito: u0 = -1/x0 at x0 = 1 (so u0 = -1).
-
-    The small entropy start matters: orthant coordinates that should vanish
-    decay only like t^(-alpha) through the averaging step, with a constant
-    proportional to their starting value.
-    """
-    kind = mirror.kind
-    if kind == "neg_entropy":
-        return np.full(mirror.dim, -3.0)
-    if kind == "itakura_saito":
-        return -np.ones(mirror.dim)
-    return np.zeros(mirror.dim)
-
-
 # --------------------------------------------------------------------------
 # centralized first-order flows
 # --------------------------------------------------------------------------
@@ -133,7 +114,7 @@ def _centralized_field(problem: ConstrainedProblem, params: SystemParams, kind: 
         dv = (t / alpha) * (a @ gx - b)
         return layout.pack(x=dx, u=du, lam=dlam, v=dv)
 
-    u0 = _initial_dual(mirror)
+    u0 = np.full(mirror.dim, mirror.dual_start)
     y0 = layout.pack(x=mirror.grad_conjugate(u0), u=u0, lam=np.zeros(m), v=np.zeros(m))
     return VectorField(kind, rhs, layout, problem, params, y0)
 
@@ -166,7 +147,7 @@ def apdmd_second_order_field(problem: ConstrainedProblem, params: SystemParams) 
         ddlam = -((alpha + 1.0) / t) * dlam + a @ w - b
         return layout.pack(x=dx, dx=ddx, lam=dlam, dlam=ddlam)
 
-    u0 = _initial_dual(mirror)
+    u0 = np.full(mirror.dim, mirror.dual_start)
     y0 = layout.pack(x=mirror.grad_conjugate(u0), dx=np.zeros(n),
                      lam=np.zeros(m), dlam=np.zeros(m))
     return VectorField("apdmd2", rhs, layout, problem, params, y0)
@@ -210,7 +191,7 @@ def _consensus_field(problem: ConsensusProblem, params: SystemParams, kind: str,
         dv *= t_a
         return out
 
-    u0 = np.concatenate([_initial_dual(m) for m in problem.mirrors])
+    u0 = np.concatenate([np.full(m.dim, m.dual_start) for m in problem.mirrors])
     y0 = layout.pack(x=problem.map_stacked(u0), u=u0, lam=np.zeros(n), v=np.zeros(n))
     return VectorField(kind, rhs, layout, problem, params, y0)
 
@@ -263,7 +244,7 @@ def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str,
         out *= factor
         return out
 
-    u0 = np.concatenate([_initial_dual(m) for m in problem.mirrors])
+    u0 = np.concatenate([np.full(m.dim, m.dual_start) for m in problem.mirrors])
     x0 = problem.map_stacked(u0)
     # start the auxiliary variable at the least-squares solution of
     # L y = d - A x0, which removes the representable part of the initial

@@ -95,8 +95,8 @@ def _all_finite(a: np.ndarray) -> bool:
 
     a.a is a sum of squares: any inf or NaN entry makes it non-finite, so a
     finite a.a settles the question with one BLAS call. Only a non-finite
-    a.a (a bad entry, or overflow of entries beyond about 1e154, which numpy
-    reports as an overflow warning) needs the entrywise test.
+    a.a (a bad entry, or overflow of entries beyond about 1e154) needs the
+    entrywise test.
     """
     return math.isfinite(np.dot(a, a)) or bool(np.isfinite(a).all())
 
@@ -109,6 +109,10 @@ def _initial_step(t0, y0, f0, rel_tol, abs_tol, tf):
     return min(h, 0.1 * (tf - t0))
 
 
+# Overflow warnings are off: an overflow to inf, in the field or in
+# _all_finite's a.a, only makes a stage non-finite, and such a stage is
+# rejected. One errstate per call, as a per-check one costs more than the check.
+@np.errstate(over="ignore")
 def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = None,
               sample_times=None) -> Trajectory:
     """Integrate dy/dt = f(t, y) from t0 to tf, sampling at sample_times.

@@ -1,8 +1,10 @@
 """Distance-generating functions and their conjugate gradients.
 
-Each map owns a feasible set X and exposes the gradient of the convex
-conjugate, grad_conjugate(u) = argmax_{x in X} (u.x - psi(x)), which pulls an
-unconstrained dual vector back into X:
+Each map carries its feasible set X as a ``Projector`` in its ``projector``
+attribute; set membership (``set_violation``) and the reference oracle's
+Euclidean projections both read it. The gradient of the convex conjugate,
+grad_conjugate(u) = argmax_{x in X} (u.x - psi(x)), pulls an unconstrained
+dual vector back into X:
 
     euclidean       psi = ||x||^2/2 on R^n,       grad_conjugate(u) = u
     neg_entropy     psi = sum x ln x on R^n_+,    grad_conjugate(u) = exp(u - 1)
@@ -17,11 +19,13 @@ so dual blow-ups fail loudly instead of silently producing inf.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DomainError, NumericError, SizeError, UnsupportedOperationError
 from .numerics import as_vector
-from .projections import Projector
+from .projections import FullSpace, PositiveOrthant, Projector, Simplex
 
 EXP_CLAMP = 500.0  # exp(500) ~ 7e216, still finite in float64
 
@@ -39,16 +43,35 @@ class MirrorMap:
 
     kind = "abstract"
     smooth = True  # whether hessian_conjugate exists
+    set_type: type = FullSpace  # the Projector class of X, built with the map's dim
+    # u0 of the flows' default start x0 = grad_conjugate(u0). The entropy maps
+    # start small: orthant coordinates that should vanish decay only like
+    # t^(-alpha) through the averaging step, with a constant proportional to
+    # their starting value.
+    dual_start = 0.0
 
     def __init__(self, dim: int):
         self.dim = int(dim)
         self.clamp_triggered = False  # set by clamping paths, cleared by build_field
+
+    @cached_property
+    def projector(self) -> Projector:
+        """The feasible set X, as its Euclidean projector."""
+        return self.set_type(self.dim)
 
     def _check(self, u, name="dual point") -> np.ndarray:
         u = as_vector(u, name)
         if u.shape[0] != self.dim:
             raise SizeError(f"{self.kind} map has dim {self.dim}, input has {u.shape[0]}")
         return u
+
+    def _interior(self, x) -> np.ndarray:
+        """x as a primal point, refusing the first coordinate that is not > 0."""
+        x = self._check(x, "primal point")
+        if np.any(x <= 0):
+            i = int(np.argmax(x <= 0))
+            raise DomainError(f"coordinate {i} of x is {x[i]}; {self.kind} needs x > 0 here")
+        return x
 
     # -- conjugate side -----------------------------------------------------
     def grad_conjugate(self, u: np.ndarray) -> np.ndarray:
@@ -73,10 +96,7 @@ class MirrorMap:
         raise NotImplementedError
 
     def grad_psi(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dual_point_for(self, x_star: np.ndarray) -> np.ndarray:
-        """u* with grad_conjugate(u*) = x*; requires x* interior for smooth kinds."""
+        """A dual point u with grad_conjugate(u) = x; needs x interior for the entropy kinds."""
         raise NotImplementedError
 
     def bregman_to_point(self, x_star: np.ndarray, u: np.ndarray) -> float:
@@ -91,7 +111,7 @@ class MirrorMap:
 
     def set_violation(self, x: np.ndarray) -> float:
         """Membership residual of x in the map's feasible set X (0 = member)."""
-        raise NotImplementedError
+        return self.projector.violation(x)
 
 
 class EuclideanMap(MirrorMap):
@@ -117,24 +137,19 @@ class EuclideanMap(MirrorMap):
     def grad_psi(self, x):
         return self._check(x, "primal point").copy()
 
-    def dual_point_for(self, x_star):
-        return self._check(x_star, "optimal point").copy()
-
     def bregman_to_point(self, x_star, u):
         x_star = self._check(x_star, "optimal point")
         u = self._check(u)
         d = u - x_star
         return float(0.5 * (d @ d))
 
-    def set_violation(self, x):
-        self._check(x, "primal point")
-        return 0.0
-
 
 class NegEntropyMap(MirrorMap):
     """Negative entropy on the positive orthant."""
 
     kind = "neg_entropy"
+    set_type = PositiveOrthant
+    dual_start = -3.0  # x0 = exp(u0 - 1) = exp(-4), small and feasible
 
     def _exp(self, e):
         if np.any(e > EXP_CLAMP):
@@ -161,20 +176,8 @@ class NegEntropyMap(MirrorMap):
         return float(np.sum(_xlogx(x)))
 
     def grad_psi(self, x):
-        x = self._check(x, "primal point")
-        if np.any(x <= 0):
-            raise DomainError("neg_entropy grad psi needs x > 0")
+        x = self._interior(x)
         return 1.0 + np.log(x)
-
-    def dual_point_for(self, x_star):
-        x_star = self._check(x_star, "optimal point")
-        bad = np.nonzero(x_star <= 0)[0]
-        if bad.size:
-            raise DomainError(
-                f"coordinate {bad[0]} of x* is {x_star[bad[0]]}; "
-                "neg_entropy needs an interior (strictly positive) point"
-            )
-        return 1.0 + np.log(x_star)
 
     def bregman_to_point(self, x_star, u):
         # generalized KL divergence: sum x* ln(x*/x) - x* + x, finite for x* >= 0
@@ -187,15 +190,13 @@ class NegEntropyMap(MirrorMap):
         val += np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos])))
         return float(val)
 
-    def set_violation(self, x):
-        x = self._check(x, "primal point")
-        return float(max(0.0, -np.min(x)))
-
 
 class ItakuraSaitoMap(MirrorMap):
     """Burg entropy psi = -sum ln x on the positive orthant; dual domain is u < 0."""
 
     kind = "itakura_saito"
+    set_type = PositiveOrthant
+    dual_start = -1.0  # x0 = -1/u0 = 1
 
     def _check_domain(self, u):
         u = self._check(u)
@@ -216,26 +217,12 @@ class ItakuraSaitoMap(MirrorMap):
         return np.diag(1.0 / u**2)
 
     def psi(self, x):
-        x = self._check(x, "primal point")
-        if np.any(x <= 0):
-            raise DomainError("itakura_saito psi needs x > 0")
+        x = self._interior(x)
         return float(-np.sum(np.log(x)))
 
     def grad_psi(self, x):
-        x = self._check(x, "primal point")
-        if np.any(x <= 0):
-            raise DomainError("itakura_saito grad psi needs x > 0")
+        x = self._interior(x)
         return -1.0 / x
-
-    def dual_point_for(self, x_star):
-        x_star = self._check(x_star, "optimal point")
-        bad = np.nonzero(x_star <= 0)[0]
-        if bad.size:
-            raise DomainError(
-                f"coordinate {bad[0]} of x* is {x_star[bad[0]]}; "
-                "itakura_saito needs an interior (strictly positive) point"
-            )
-        return -1.0 / x_star
 
     def bregman_to_point(self, x_star, u):
         # sum (x*/x - ln(x*/x) - 1); infinite when some x*_i = 0
@@ -248,15 +235,12 @@ class ItakuraSaitoMap(MirrorMap):
         r = x_star / x
         return float(np.sum(r - np.log(r) - 1.0))
 
-    def set_violation(self, x):
-        x = self._check(x, "primal point")
-        return float(max(0.0, -np.min(x)))
-
 
 class SimplexEntropyMap(MirrorMap):
     """Entropy restricted to the unit simplex; conjugate is log-sum-exp."""
 
     kind = "simplex_entropy"
+    set_type = Simplex
 
     def _softmax(self, u):
         shifted = u - np.max(u)
@@ -282,21 +266,8 @@ class SimplexEntropyMap(MirrorMap):
         return float(np.sum(_xlogx(x)))
 
     def grad_psi(self, x):
-        x = self._check(x, "primal point")
-        if np.any(x <= 0):
-            raise DomainError("simplex_entropy grad psi needs x > 0")
+        x = self._interior(x)
         return 1.0 + np.log(x)
-
-    def dual_point_for(self, x_star):
-        # canonical representative ln(x*); any additive shift maps back the same
-        x_star = self._check(x_star, "optimal point")
-        bad = np.nonzero(x_star <= 0)[0]
-        if bad.size:
-            raise DomainError(
-                f"coordinate {bad[0]} of x* is {x_star[bad[0]]}; "
-                "simplex_entropy needs an interior simplex point"
-            )
-        return np.log(x_star)
 
     def bregman_to_point(self, x_star, u):
         # KL(x*, softmax(u)); finite for any simplex x* including vertices
@@ -306,10 +277,6 @@ class SimplexEntropyMap(MirrorMap):
         x = self.grad_conjugate(u)
         pos = x_star > 0
         return float(np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos]))))
-
-    def set_violation(self, x):
-        x = self._check(x, "primal point")
-        return float(max(abs(np.sum(x) - 1.0), max(0.0, -np.min(x))))
 
 
 class ProjectionMap(MirrorMap):
@@ -347,18 +314,8 @@ class ProjectionMap(MirrorMap):
         x = self._check(x, "primal point")
         return x.copy()
 
-    def dual_point_for(self, x_star):
-        x_star = self._check(x_star, "optimal point")
-        if self.projector.violation(x_star) > 1e-8:
-            raise DomainError(f"x* violates the {self.projector.kind} set by "
-                              f"{self.projector.violation(x_star):.2e}")
-        return x_star.copy()
-
     def bregman_to_point(self, x_star, u):
         # D_{psi*}(u, u*) with u* = x*: psi*(u) + ||x*||^2/2 - x*.u
         x_star = self._check(x_star, "optimal point")
         u = self._check(u)
         return float(self.conjugate(u) + 0.5 * (x_star @ x_star) - x_star @ u)
-
-    def set_violation(self, x):
-        return self.projector.violation(self._check(x, "primal point"))

@@ -34,16 +34,7 @@ from .mirror_maps import (
     SimplexEntropyMap,
 )
 from .numerics import SeededRng, as_matrix, as_vector, random_gaussian_matrix, random_orthogonal_rows, random_psd
-from .projections import (
-    AffineSet,
-    Box,
-    FullSpace,
-    HalfSpace,
-    PositiveOrthant,
-    Projector,
-    Simplex,
-    Sphere,
-)
+from .projections import AffineSet, Box, HalfSpace, Sphere
 from .smoothing import SmoothedObjective, smooth_abs_grad, smoothed_l1_objective
 
 
@@ -184,7 +175,6 @@ class ConsensusProblem(_AgentStack):
     mirrors: tuple
     graph: UndirectedGraph
     block_dim: int
-    lifted: LiftedLaplacian
 
     def __post_init__(self):
         self._check_agents()
@@ -195,8 +185,7 @@ class ConsensusProblem(_AgentStack):
     @cached_property
     def _affine_stack(self):
         """The agents' (A_i, pinv(A_i), b_i) stacked, when every local set is affine."""
-        if not all(isinstance(m, ProjectionMap) and m.projector.kind == "affine"
-                   for m in self.mirrors):
+        if not all(m.projector.kind == "affine" for m in self.mirrors):
             return None
         projs = [m.projector for m in self.mirrors]
         return (np.stack([p.a for p in projs]), np.stack([p.pinv for p in projs]),
@@ -205,6 +194,10 @@ class ConsensusProblem(_AgentStack):
     @property
     def dim(self) -> int:
         return self.n_agents * self.block_dim
+
+    @cached_property
+    def lifted(self) -> LiftedLaplacian:
+        return lift(self.graph, self.block_dim)
 
     def blocks(self, x) -> np.ndarray:
         return np.reshape(x, (self.n_agents, self.block_dim))
@@ -332,8 +325,7 @@ def build_dis_logistic() -> ConsensusProblem:
         ProjectionMap(Sphere(center=np.array([0.1, 0.2, 0.5, 0.8]), radius=2.0)),
         ProjectionMap(HalfSpace(a=np.ones(4), b=4.0)),
     )
-    g = ring(4)
-    return ConsensusProblem(objectives, mirrors, g, block_dim=4, lifted=lift(g, 4))
+    return ConsensusProblem(objectives, mirrors, ring(4), block_dim=4)
 
 
 def build_dist_qp(seed: int = 1) -> MonotropicProblem:
@@ -391,8 +383,7 @@ def build_dbp_row(seed: int = 1) -> ConsensusProblem:
         rows = slice(2 * i, 2 * i + 2)
         mirrors.append(ProjectionMap(AffineSet(a_full[rows], b_full[rows])))
     objectives = tuple(smoothed_l1_objective(60) for _ in range(5))
-    g = ring(5)
-    return ConsensusProblem(objectives, tuple(mirrors), g, block_dim=60, lifted=lift(g, 60))
+    return ConsensusProblem(objectives, tuple(mirrors), ring(5), block_dim=60)
 
 
 def build_dbp_col(seed: int = 1) -> MonotropicProblem:
@@ -424,8 +415,8 @@ def build_consensus_quadratic(edge_weight: float = 1.0) -> ConsensusProblem:
 
     objectives = tuple(make(c) for c in centers)
     mirrors = (EuclideanMap(2), EuclideanMap(2))
-    g = from_edges(2, [(0, 1)], [edge_weight])
-    return ConsensusProblem(objectives, mirrors, g, block_dim=2, lifted=lift(g, 2))
+    return ConsensusProblem(objectives, mirrors, from_edges(2, [(0, 1)], [edge_weight]),
+                            block_dim=2)
 
 
 def _seedless(build: Callable) -> Callable:
@@ -497,19 +488,6 @@ def problem_from_spec(spec: dict) -> ConstrainedProblem:
     mirror = _mirror_from_spec(spec.get("set", {}), a.shape[1])
     objective = _objective_from_spec(spec.get("objective", {}), a.shape[1])
     return ConstrainedProblem(objective, a, b, mirror)
-
-
-def euclidean_projector(mirror: MirrorMap) -> Projector:
-    """The Euclidean projector of a mirror map's feasible set."""
-    if isinstance(mirror, ProjectionMap):
-        return mirror.projector
-    if isinstance(mirror, EuclideanMap):
-        return FullSpace(mirror.dim)
-    if isinstance(mirror, (NegEntropyMap, ItakuraSaitoMap)):
-        return PositiveOrthant(mirror.dim)
-    if isinstance(mirror, SimplexEntropyMap):
-        return Simplex(mirror.dim)
-    raise ParameterError(f"no projector known for map kind {mirror.kind!r}")
 
 
 def reference_solution(problem, tol: float = 1e-8) -> ReferenceSolution:

@@ -276,27 +276,38 @@ def test_clamp_flag_of_an_earlier_run_does_not_warn():
 
 _TIMES = np.array([1.0, 2.0, 3.0, 4.0])
 _ONE_NAN = np.array([1.0, 0.5, np.nan, 0.25])
+_NAN_AT_3 = "NaN or -inf at t = 3"
 
 
-@pytest.mark.parametrize("check, first_bad", [
-    (lambda s: _ratio_check("r", _TIMES, s, np.ones(4), 1.05, []), "3"),
-    (lambda s: _ratio_check("r", _TIMES, np.zeros(4), s, 1.05, []), "3"),
-    (lambda s: _ratio_check("r", _TIMES, np.zeros(4), np.full(4, np.nan), 1.05, []), "1"),
+@pytest.mark.parametrize("check, note", [
+    (lambda s: _ratio_check("r", _TIMES, s, np.ones(4), 1.05, []), _NAN_AT_3),
+    (lambda s: _ratio_check("r", _TIMES, np.zeros(4), s, 1.05, []), _NAN_AT_3),
+    (lambda s: _ratio_check("r", _TIMES, np.zeros(4), np.full(4, np.nan), 1.05, []),
+     "NaN or -inf at t = 1"),
     (lambda s: _ratio_check("r", _TIMES, np.zeros(4), np.where(np.isnan(s), -np.inf, 1.0),
-                            1.05, []), "3"),
-    (lambda s: _lyapunov_monotone(_TIMES, s, []), "3"),
+                            1.05, []), _NAN_AT_3),
+    (lambda s: _lyapunov_monotone(_TIMES, s, []), _NAN_AT_3),
     (lambda s: _lyapunov_monotone(_TIMES, np.where(np.isnan(s), np.inf, s), []), None),
-    (lambda s: _positivity("p", _TIMES, s), "3"),
-    (lambda s: _positivity("p", _TIMES, np.full(4, np.nan)), "1"),
-    (lambda s: _integral_plateau(_TIMES, s, "i", True), "3"),
-    (lambda s: _integral_plateau(_TIMES, s, "i", False), "3"),
+    (lambda s: _positivity("p", _TIMES, s), _NAN_AT_3),
+    (lambda s: _positivity("p", _TIMES, np.full(4, np.nan)), "NaN or -inf at t = 1"),
+    (lambda s: _integral_plateau(_TIMES, s, "i", True), _NAN_AT_3),
+    (lambda s: _integral_plateau(_TIMES, s, "i", False), _NAN_AT_3),
+    (lambda s: _integral_plateau(_TIMES, np.array([1.0, np.inf, 1.0, 1.0]), "i", True),
+     "running integral is not finite at t = 2"),
+    (lambda s: _integral_plateau(_TIMES, np.array([1.0, np.inf, 1.0, 1.0]), "i", False),
+     "running integral is not finite at t = 2"),
+    (lambda s: _integral_plateau(_TIMES, np.array([1.0, 1e308, 1e308, 1.0]), "i", True),
+     "running integral is not finite at t = 3"),
+    (lambda s: _integral_plateau(_TIMES, np.array([1.0, 1e308, 1e308, 1.0]), "i", False),
+     "running integral is not finite at t = 3"),
 ], ids=["ratio-quantity", "ratio-bound", "ratio-all-nan-bound", "ratio-neg-inf-bound",
         "lyapunov", "lyapunov-pos-inf-passes", "positivity", "positivity-all-nan",
-        "plateau", "plateau-informational"])
-def test_checks_fail_on_nan_and_name_the_first_bad_sample(check, first_bad):
+        "plateau", "plateau-informational", "plateau-pos-inf", "plateau-informational-pos-inf",
+        "plateau-overflow", "plateau-informational-overflow"])
+def test_checks_fail_on_nan_and_name_the_first_bad_sample(check, note):
     result = check(_ONE_NAN.copy())
-    if first_bad is None:  # +inf is the infinite certificate: it passes trivially
+    if note is None:  # +inf is the infinite certificate: it passes trivially
         assert result.ok
         return
     assert not result.ok
-    assert result.note == f"NaN or -inf at t = {first_bad}"
+    assert result.note == note

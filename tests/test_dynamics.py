@@ -119,7 +119,7 @@ def test_adpdmd_laplacian_kernel_directions():
     u = np.tile(np.log(np.full(4, 0.25)), 4)  # not valid for agent 2 domain; use agent-wise
     # instead: pick duals so that every agent maps to the same point
     x_common = np.full(4, 0.25)
-    us = [problem.mirrors[i].dual_point_for(x_common) for i in range(4)]
+    us = [problem.mirrors[i].grad_psi(x_common) for i in range(4)]
     y = field.layout.pack(x=np.tile(x_common, 4), u=np.concatenate(us),
                           lam=np.zeros(16), v=np.zeros(16))
     dy = field.layout.split(field.rhs(1.7, y))

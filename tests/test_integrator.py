@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,8 +119,10 @@ def test_bad_stage_is_rejected_and_retried_with_smaller_step(bad):
 
 
 def test_huge_finite_stage_is_accepted():
-    # entries whose squares overflow are still finite and must not be rejected
-    with np.errstate(over="ignore"):  # the finiteness pre-check overflows, as intended
+    # entries whose squares overflow are still finite and must not be rejected,
+    # and the overflow of the finiteness pre-check must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traj = integrate(lambda t, y: np.full(2, 1e200), np.zeros(2), 0.0, 1.0)
     assert traj.steps_rejected == 0
     assert np.allclose(traj.states[-1], 1e200, rtol=1e-12)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorflow.errors import DomainError, UnsupportedOperationError
 from mirrorflow.mirror_maps import (
@@ -10,7 +12,15 @@ from mirrorflow.mirror_maps import (
     SimplexEntropyMap,
 )
 from mirrorflow.numerics import SeededRng
-from mirrorflow.projections import Box, Simplex
+from mirrorflow.projections import (
+    AffineSet,
+    Box,
+    FullSpace,
+    HalfSpace,
+    PositiveOrthant,
+    Simplex,
+    Sphere,
+)
 
 
 def smooth_maps(dim=3):
@@ -135,20 +145,22 @@ def test_bregman_projection_kind_uses_explicit_conjugate():
         assert pm.bregman_conjugate(u, v) >= -1e-12
 
 
-def test_dual_point_for_round_trips():
+def test_grad_psi_round_trips():
     e = EuclideanMap(2)
-    assert np.allclose(e.dual_point_for([3.0, -1.0]), [3.0, -1.0])
+    assert np.allclose(e.grad_psi([3.0, -1.0]), [3.0, -1.0])
     n = NegEntropyMap(2)
-    assert np.allclose(n.dual_point_for([1.0, 1.0]), [1.0, 1.0])
+    assert np.allclose(n.grad_psi([1.0, 1.0]), [1.0, 1.0])
     s = SimplexEntropyMap(2)
-    u = s.dual_point_for([0.5, 0.5])
-    assert np.allclose(u, np.log([0.5, 0.5]))
+    u = s.grad_psi([0.5, 0.5])
+    assert np.allclose(u, 1.0 + np.log([0.5, 0.5]))
     assert np.max(np.abs(s.grad_conjugate(u) - [0.5, 0.5])) <= 1e-12
 
 
-def test_dual_point_for_boundary_error_names_coordinate():
+@pytest.mark.parametrize("map_", [SimplexEntropyMap(3), NegEntropyMap(3), ItakuraSaitoMap(3)],
+                         ids=lambda m: m.kind)
+def test_grad_psi_boundary_error_names_coordinate(map_):
     with pytest.raises(DomainError, match="coordinate 1"):
-        SimplexEntropyMap(3).dual_point_for([0.5, 0.0, 0.5])
+        map_.grad_psi([0.5, 0.0, 0.5])
 
 
 def test_bregman_to_point_matches_dual_bregman_for_interior_points():
@@ -157,7 +169,7 @@ def test_bregman_to_point_matches_dual_bregman_for_interior_points():
         for _ in range(50):
             u = draw_dual(map_, rng, scale=1.0)
             x_star = map_.grad_conjugate(draw_dual(map_, rng, scale=1.0))
-            u_star = map_.dual_point_for(x_star)
+            u_star = map_.grad_psi(x_star)
             d_dual = map_.bregman_conjugate(u, u_star)
             d_primal = map_.bregman_to_point(x_star, u)
             assert abs(d_dual - d_primal) <= 1e-8 * max(1.0, abs(d_dual))
@@ -177,3 +189,56 @@ def test_neg_entropy_clamp_is_sticky():
     assert not n.clamp_triggered
     n.grad_conjugate([1000.0, 0.0])
     assert n.clamp_triggered
+
+
+# every map kind, and a projection map over every set kind
+_EVERY_MAP = smooth_maps(3) + [ProjectionMap(p) for p in (
+    Box(lo=[-1.0, 0.0, 0.5], hi=[1.0, 2.0, 0.5]),
+    Sphere(center=[0.1, -0.2, 0.3], radius=1.5),
+    HalfSpace(a=[1.0, 2.0, -1.0], b=0.5),
+    AffineSet(a=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], b=[1.0, 0.2]),
+    Simplex(3), PositiveOrthant(3), FullSpace(3))]
+_POINT = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).map(np.array)
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _kind(map_):
+    return map_.projector.kind if map_.kind == "projection" else map_.kind
+
+
+def _inside(map_, raw):
+    """A point of the map's set; strictly positive for the entropy kinds."""
+    if map_.kind == "simplex_entropy":
+        return np.exp(raw) / np.sum(np.exp(raw))
+    if map_.kind in ("neg_entropy", "itakura_saito"):
+        return np.exp(raw)
+    return map_.projector.project(raw)
+
+
+def _dual(map_, raw):
+    return -np.exp(raw) if map_.kind == "itakura_saito" else raw
+
+
+@pytest.mark.parametrize("map_", _EVERY_MAP, ids=_kind)
+@_PROPERTY
+@given(x=_POINT)
+def test_set_violation_is_the_projectors(map_, x):
+    assert map_.set_violation(x) == map_.projector.violation(x)
+
+
+@pytest.mark.parametrize("map_", _EVERY_MAP, ids=_kind)
+@_PROPERTY
+@given(raw=_POINT)
+def test_grad_conjugate_inverts_grad_psi_inside_the_set(map_, raw):
+    x = _inside(map_, raw)
+    back = map_.grad_conjugate(map_.grad_psi(x))
+    assert np.max(np.abs(back - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("map_", _EVERY_MAP, ids=_kind)
+@_PROPERTY
+@given(raw=_POINT, u_raw=_POINT)
+def test_bregman_to_point_is_the_dual_bregman_from_grad_psi(map_, raw, u_raw):
+    x_star, u = _inside(map_, raw), _dual(map_, u_raw)
+    d_dual = map_.bregman_conjugate(u, map_.grad_psi(x_star))
+    assert abs(map_.bregman_to_point(x_star, u) - d_dual) <= 1e-9 * max(1.0, abs(d_dual))

@@ -195,7 +195,20 @@ def test_mixed_smoothness_rejected():
 
     objs = (smoothed_l1_objective(4),) + p.objectives[1:]
     with pytest.raises(ParameterError):
-        ConsensusProblem(objs, p.mirrors, p.graph, 4, p.lifted)
+        ConsensusProblem(objs, p.mirrors, p.graph, 4)
+
+
+def test_consensus_laplacian_comes_from_its_graph():
+    from mirrorflow.graph import from_edges, lift
+    from mirrorflow.problems import ConsensusProblem
+
+    p = build_consensus_quadratic()
+    heavy = from_edges(2, [(0, 1)], [5.0])
+    with pytest.raises(TypeError):  # a Laplacian that disagrees with the graph cannot be given
+        ConsensusProblem(p.objectives, p.mirrors, p.graph, block_dim=2, lifted=lift(heavy, 2))
+    assert np.array_equal(p.lifted.matrix, lift(p.graph, 2).matrix)
+    q = ConsensusProblem(p.objectives, p.mirrors, heavy, block_dim=2)
+    assert np.array_equal(q.lifted.matrix, build_consensus_quadratic(5.0).lifted.matrix)
 
 
 def test_stacked_box_projection_is_bitwise_the_per_agent_projection():
