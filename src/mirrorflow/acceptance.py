@@ -71,7 +71,7 @@ def _run(problem, system, alpha, beta, tf, mu0=None, rel=1e-6, abs_tol=1e-8):
 
 def criterion_1() -> CriterionResult:
     """Unit property suites at the module-invariant tolerances."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
     rng = SeededRng(2024)
 
@@ -180,14 +180,14 @@ def criterion_1() -> CriterionResult:
         edge_ok &= abs(consensus_residual(lifted, x) - direct) <= 1e-10
     c.expect(edge_ok, "consensus residual equals the edge sum")
 
-    runtime = time.time() - start
+    runtime = time.perf_counter() - start
     c.expect(runtime < 30.0, f"runtime {runtime:.1f}s < 30s")
     return CriterionResult("1 unit property suites", c.ok, runtime, c.details)
 
 
 def criterion_2() -> CriterionResult:
     """Scalar sanity flow: rate bound, energy monotonicity, fitted slope."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
     problem = build_scalar()
     ref = reference_solution(problem, 1e-10)
@@ -199,21 +199,21 @@ def criterion_2() -> CriterionResult:
     c.expect(lyap.ok, "Lyapunov energy nonincreasing")
     slope = rate_fit(traj.times, rep.lagrangian_gap)
     c.expect(slope <= -1.8, f"fitted gap slope {slope:.2f} <= -1.8")
-    runtime = time.time() - start
+    runtime = time.perf_counter() - start
     c.expect(runtime < 5.0, f"runtime {runtime:.1f}s < 5s")
     return CriterionResult("2 scalar sanity flow", c.ok, runtime, c.details)
 
 
 def criterion_3() -> CriterionResult:
     """Centralized logistic run at alpha in {2, 4, 6}."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
     problem = build_logistic_centralized()
     ref = reference_solution(problem, 1e-9)
     c.expect(abs(ref.f_star - np.log(1 + np.exp(-1))) <= 1e-9,
              "f* equals log(1 + e^-1)")
     for alpha in (2.0, 4.0, 6.0):
-        t_alpha = time.time()
+        t_alpha = time.perf_counter()
         fld, traj = _run(problem, "apdmd", alpha=alpha, beta=1.0, tf=100.0)
         rep = evaluate_run(fld, traj, ref)
         xs = traj.states[:, :4]
@@ -227,13 +227,13 @@ def criterion_3() -> CriterionResult:
                                f"(max ratio {ratio:.3f})")
         c.expect(rep.slope_feasibility <= -0.9,
                  f"alpha={alpha:g}: feasibility slope {rep.slope_feasibility:.2f} <= -0.9")
-        c.expect(time.time() - t_alpha < 30.0, f"alpha={alpha:g}: runtime < 30s")
-    return CriterionResult("3 centralized logistic", c.ok, time.time() - start, c.details)
+        c.expect(time.perf_counter() - t_alpha < 30.0, f"alpha={alpha:g}: runtime < 30s")
+    return CriterionResult("3 centralized logistic", c.ok, time.perf_counter() - start, c.details)
 
 
 def criterion_4() -> CriterionResult:
     """Distributed logistic ring: consensus bound at T and set feasibility."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
     problem = build_dis_logistic()
     ref = reference_solution(problem, 1e-8)
@@ -246,14 +246,14 @@ def criterion_4() -> CriterionResult:
              f"x(T).L x(T) = {resid:.2e} <= 1.05 * 2 a^2 V0 / (b T^2) = {bound:.2e}")
     c.expect(rep.feasibility_max_violation <= 1e-6,
              f"per-agent set feasibility {rep.feasibility_max_violation:.2e} <= 1e-6 throughout")
-    runtime = time.time() - start
+    runtime = time.perf_counter() - start
     c.expect(runtime < 60.0, f"runtime {runtime:.1f}s < 60s")
     return CriterionResult("4 distributed logistic ring", c.ok, runtime, c.details)
 
 
 def criterion_5() -> CriterionResult:
     """Distributed quadratic resource sharing: multiplier consensus bound."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
     problem = build_dist_qp(seed=1)
     ref = reference_solution(problem, 1e-8)
@@ -266,7 +266,7 @@ def criterion_5() -> CriterionResult:
              f"lam(T).L lam(T) = {resid:.2e} <= 1.05 * 2 a^2 E0 / T^2 = {bound:.2e}")
     c.expect(rep.feasibility_max_violation <= 1e-6,
              f"box feasibility {rep.feasibility_max_violation:.2e} <= 1e-6 throughout")
-    runtime = time.time() - start
+    runtime = time.perf_counter() - start
     c.expect(runtime < 120.0, f"runtime {runtime:.1f}s < 120s")
     return CriterionResult("5 distributed quadratic", c.ok, runtime, c.details)
 
@@ -286,12 +286,12 @@ def _recovery_checks(c, x_signal, x_true, f_val, f_true, label):
 
 def criterion_6() -> CriterionResult:
     """Smoothed nonnegative l1 recovery at alpha in {2, 4}."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
     problem = build_nbp(seed=1)
     ref = reference_solution(problem, 1e-8)
     for alpha in (2.0, 4.0):
-        t_alpha = time.time()
+        t_alpha = time.perf_counter()
         fld, traj = _run(problem, "sapdmd", alpha=alpha, beta=10.0, tf=200.0, mu0=0.1)
         rep = evaluate_run(fld, traj, ref)
         gap_check = rep.check("lagrangian_gap_rate")
@@ -301,8 +301,8 @@ def criterion_6() -> CriterionResult:
         xT = fld.layout.split(traj.states[-1])["x"]
         _recovery_checks(c, xT, ref.x_star, problem.f_exact(xT), ref.f_star,
                          f"alpha={alpha:g}")
-        c.expect(time.time() - t_alpha < 120.0, f"alpha={alpha:g}: runtime < 120s")
-    return CriterionResult("6 smoothed nonnegative recovery", c.ok, time.time() - start, c.details)
+        c.expect(time.perf_counter() - t_alpha < 120.0, f"alpha={alpha:g}: runtime < 120s")
+    return CriterionResult("6 smoothed nonnegative recovery", c.ok, time.perf_counter() - start, c.details)
 
 
 def criterion_7() -> CriterionResult:
@@ -317,7 +317,7 @@ def criterion_7() -> CriterionResult:
     superlinearly in t; a large mu0 keeps the band wide (the approximation
     bias kappa * mu(t) still vanishes well before the final time).
     """
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
 
     t_row = time.perf_counter()
@@ -349,12 +349,12 @@ def criterion_7() -> CriterionResult:
     elapsed = time.perf_counter() - t_col
     c.expect(elapsed < 180.0, f"col: runtime {elapsed:.0f}s < 180s")
 
-    return CriterionResult("7 distributed smoothed recovery", c.ok, time.time() - start, c.details)
+    return CriterionResult("7 distributed smoothed recovery", c.ok, time.perf_counter() - start, c.details)
 
 
 def criterion_8() -> CriterionResult:
     """First-order versus second-order form on a 3-dim problem."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
     a = np.array([[1.0, 1.0, 1.0]])
     b = np.array([2.0])
@@ -379,14 +379,14 @@ def criterion_8() -> CriterionResult:
         tol = 10 * 1e-6
         c.expect(max(sup_x, sup_lam) <= tol,
                  f"{mirror.kind}: sup |first - second| = {max(sup_x, sup_lam):.2e} <= {tol:.0e}")
-    runtime = time.time() - start
+    runtime = time.perf_counter() - start
     c.expect(runtime < 10.0, f"runtime {runtime:.1f}s < 10s")
     return CriterionResult("8 first/second-order agreement", c.ok, runtime, c.details)
 
 
 def criterion_9() -> CriterionResult:
     """Reference oracle quality on the whole catalogue, dynamics untouched."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
 
     # poison the field builders so any oracle dependence on the dynamics
@@ -410,14 +410,14 @@ def criterion_9() -> CriterionResult:
         for n, fn in saved.items():
             setattr(_dyn, n, fn)
 
-    runtime = time.time() - start
+    runtime = time.perf_counter() - start
     c.expect(runtime < 60.0, f"total runtime {runtime:.1f}s < 60s")
     return CriterionResult("9 oracle independence", c.ok, runtime, c.details)
 
 
 def negative_control() -> CriterionResult:
     """Tampering with the bound slack must flip a tight check to failing."""
-    start = time.time()
+    start = time.perf_counter()
     c = _Checker()
     problem = build_consensus_quadratic(edge_weight=10.0)
     ref = reference_solution(problem, 1e-9)
@@ -434,7 +434,7 @@ def negative_control() -> CriterionResult:
     tampered = {b.name: b for b in check_bounds(rep, params, rep.v0, slack=0.5)}
     c.expect(not tampered["consensus_rate"].ok,
              "slack tampered to 0.5 makes the consensus check fail")
-    return CriterionResult("negative control", c.ok, time.time() - start, c.details)
+    return CriterionResult("negative control", c.ok, time.perf_counter() - start, c.details)
 
 
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

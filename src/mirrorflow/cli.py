@@ -127,7 +127,7 @@ def _settings(cfg: dict, alpha: float):
 def run_single(cfg: dict, problem, ref, settings, out_dir: Path) -> dict:
     """Integrate one alpha's flow on the built problem, evaluate it against
     the reference solution and write its outputs to out_dir."""
-    started = time.time()
+    started = time.perf_counter()
     params, icfg, tf = settings
     field = build_field(cfg["system"], problem, params)
     traj = integrate(field.rhs, field.initial_state, params.t0, tf, icfg)
@@ -155,7 +155,7 @@ def run_single(cfg: dict, problem, ref, settings, out_dir: Path) -> dict:
         "integrator": {"steps_accepted": traj.steps_accepted,
                        "steps_rejected": traj.steps_rejected,
                        "rel_tol": icfg.rel_tol, "abs_tol": icfg.abs_tol},
-        "runtime_seconds": round(time.time() - started, 3),
+        "runtime_seconds": round(time.perf_counter() - started, 3),
     }
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, allow_nan=True)

@@ -99,20 +99,36 @@ def _centralized_field(problem: ConstrainedProblem, params: SystemParams, kind: 
     n, m = problem.dim, problem.n_constraints
     alpha, beta = params.alpha, params.beta
     layout = StateLayout((("x", n), ("u", n), ("lam", m), ("v", m)))
-    mu = params.mu
+    a_t_mat = a.T
+    grad_conjugate, grad_f = mirror.grad_conjugate, problem.grad
+    mu_at = params.mu.mu_at if smoothed else None
+    o1, o2, o3 = n, 2 * n, 2 * n + m
 
+    # each block is written into `out` in place, in the operation order of
+    # the formulas in the module docstring, so the bits do not move
     def rhs(t, y):
         _check_time(t)
-        s = layout.split(y)
-        x, u, lam, v = s["x"], s["u"], s["lam"], s["v"]
-        gx = mirror.grad_conjugate(u)
-        r = a @ x - b
-        grad = problem.grad(x, mu.mu_at(t)) if smoothed else problem.grad(x)
-        dx = (alpha / t) * (gx - x)
-        du = -(t / alpha) * (grad + beta * (a.T @ r) + a.T @ v)
-        dlam = (alpha / t) * (v - lam)
-        dv = (t / alpha) * (a @ gx - b)
-        return layout.pack(x=dx, u=du, lam=dlam, v=dv)
+        a_t, t_a = alpha / t, t / alpha
+        x, u, lam, v = y[:o1], y[o1:o2], y[o2:o3], y[o3:]
+        gx = grad_conjugate(u)
+        r = np.dot(a, x)
+        r -= b
+        grad = grad_f(x, mu_at(t)) if smoothed else grad_f(x)
+        out = np.empty_like(y)
+        dx, du, dlam, dv = out[:o1], out[o1:o2], out[o2:o3], out[o3:]
+        np.subtract(gx, x, out=dx)
+        dx *= a_t
+        np.dot(a_t_mat, r, out=du)
+        du *= beta
+        np.add(grad, du, out=du)
+        du += np.dot(a_t_mat, v)
+        du *= -t_a
+        np.subtract(v, lam, out=dlam)
+        dlam *= a_t
+        np.dot(a, gx, out=dv)
+        dv -= b
+        dv *= t_a
+        return out
 
     u0 = np.full(mirror.dim, mirror.dual_start)
     y0 = layout.pack(x=mirror.grad_conjugate(u0), u=u0, lam=np.zeros(m), v=np.zeros(m))

@@ -142,7 +142,7 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
     def eval_stage(t, y):
         try:
             k = np.asarray(f(t, y), dtype=float)
-        except (DomainError, FloatingPointError, OverflowError, ZeroDivisionError):
+        except (DomainError, ArithmeticError):  # NumericError and ZeroDivisionError included
             return None
         if k.shape != y.shape or not _all_finite(k):
             return None

@@ -361,16 +361,20 @@ _FRESH_RUN = """
 import json, sys
 from mirrorflow.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+loaded = {name: sorted(m for m in sys.modules if (m + ".").startswith(name + "."))
+          for name in ("scipy", "numpy.random")}
+print(json.dumps({"code": code, **loaded}))
 """
 
 
 @pytest.mark.parametrize("problem, system, extra", [
     ("scalar", "apdmd", []),
     ("nbp", "sapdmd", ["--beta", "10"]),
+    ("d_bp_c", "sadmd", ["--seed", "54"]),
 ])
 def test_no_run_loads_scipy(problem, system, extra, tmp_path):
-    # the l1 route solves its LP too: the package runs on numpy alone
+    # the l1 route solves its LP too, and the seeded builders draw their
+    # instances: the package runs on numpy alone, without numpy.random
     src = str(Path(mirrorflow.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -382,22 +386,42 @@ def test_no_run_loads_scipy(problem, system, extra, tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
     assert result["scipy"] == []
+    assert result["numpy.random"] == []
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["f_star"] == reference_solution(PROBLEMS[problem](1)).f_star
+    assert summary["f_star"] == reference_solution(PROBLEMS[problem](summary["seed"])).f_star
+
+
+def _package_nodes():
+    package = Path(mirrorflow.__file__).resolve().parent
+    paths = sorted(package.glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
+def _imported(node) -> list:
+    """The dotted names an import statement binds from, absolute imports only."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
 
 
 def test_no_package_module_imports_scipy():
-    package = Path(mirrorflow.__file__).resolve().parent
+    offenders = [f"{name}:{node.lineno} {n}" for name, node in _package_nodes()
+                 for n in _imported(node) if n.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_no_package_module_uses_numpy_random():
+    # SeededRng computes the Philox stream itself; numpy.random costs ~5 MiB
     offenders = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno} {n}" for n in names
-                          if n.split(".")[0] == "scipy"]
-    assert len(list(package.glob("*.py"))) > 10
+    for name, node in _package_nodes():
+        offenders += [f"{name}:{node.lineno} {n}" for n in _imported(node)
+                      if n.split(".")[:2] == ["numpy", "random"]]
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            offenders.append(f"{name}:{node.lineno} {node.value.id}.random")
     assert offenders == []

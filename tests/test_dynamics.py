@@ -224,6 +224,33 @@ def test_sapdmd_matches_independent_formula_on_random_state():
     assert np.allclose(field.rhs(t, y), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("problem, system", [
+    (build_scalar(), "apdmd"),
+    (build_logistic_centralized(), "apdmd"),
+    (build_nbp(seed=1), "sapdmd"),
+])
+def test_apdmd_rhs_is_bit_exact_to_formula(problem, system):
+    # the in-place rhs keeps the operation order of the blockwise expression,
+    # so a run's trajectory does not move by one bit
+    mu = MuSchedule(0.1, 3.0) if system == "sapdmd" else None
+    params = SystemParams(alpha=3.0, beta=2.5, mu=mu)
+    field = build_field(system, problem, params)
+    a, b, mirror = problem.a, problem.b, problem.mirror
+    rng = np.random.default_rng(13)
+    for t in (1.0, 2.7, 40.0):
+        y = rng.normal(size=field.layout.size)
+        s = field.layout.split(y)
+        x, u, lam, v = s["x"], s["u"], s["lam"], s["v"]
+        gx = mirror.grad_conjugate(u)
+        grad = problem.grad(x, mu.mu_at(t)) if mu else problem.grad(x)
+        expected = field.layout.pack(
+            x=(params.alpha / t) * (gx - x),
+            u=-(t / params.alpha) * (grad + params.beta * (a.T @ (a @ x - b)) + a.T @ v),
+            lam=(params.alpha / t) * (v - lam),
+            v=(t / params.alpha) * (a @ gx - b))
+        assert np.array_equal(field.rhs(t, y), expected)
+
+
 def _laplacian_blockwise(l_n, w):
     return (l_n @ w.reshape(l_n.shape[0], -1)).ravel()
 

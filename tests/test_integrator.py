@@ -5,6 +5,7 @@ import pytest
 
 from mirrorflow.errors import DomainError, IntegrationError, ParameterError
 from mirrorflow.integrator import IntegratorConfig, geometric_grid, integrate
+from mirrorflow.mirror_maps import EuclideanMap
 
 
 def test_exponential_decay():
@@ -90,7 +91,7 @@ def test_domain_error_shrinks_step_then_fails_cleanly():
         integrate(f, np.array([0.0]), 0.0, 2.0)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "shape", "zero_division"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "shape", "zero_division", "numeric_error"])
 def test_bad_stage_is_rejected_and_retried_with_smaller_step(bad):
     # dy/dt = -y, but a stage whose input strays from exp(-t) (as it does on an
     # overlong step) returns garbage; the step must be rejected and retried
@@ -107,6 +108,8 @@ def test_bad_stage_is_rejected_and_retried_with_smaller_step(bad):
             return np.array([-np.inf])
         if bad == "shape":
             return np.zeros(2)
+        if bad == "numeric_error":  # a map's check of a non-finite dual point
+            return EuclideanMap(1).grad_conjugate(np.array([np.inf]))
         return np.array([1.0 / (t - t)])  # float division by zero
 
     cfg = IntegratorConfig(initial_step=1.0)
