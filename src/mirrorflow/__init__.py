@@ -6,7 +6,7 @@ the t^-2 convergence certificates numerically, and reproduces a catalogue
 of centralized and distributed experiments at desk scale.
 """
 
-from .diagnostics import BoundCheck, RunReport, check_bounds, evaluate_run, lagrangian_gap, rate_fit
+from .diagnostics import BoundCheck, RunReport, evaluate_run, lagrangian_gap, rate_fit
 from .dynamics import SYSTEMS, SystemParams, VectorField, apdmd_second_order_field, build_field
 from .graph import LiftedLaplacian, UndirectedGraph, consensus_residual, laplacian, lift, ring
 from .integrator import IntegratorConfig, Trajectory, geometric_grid, integrate
@@ -36,12 +36,6 @@ from .problems import (
     reference_solution,
 )
 from .projections import AffineSet, Box, HalfSpace, PositiveOrthant, Projector, Simplex, Sphere
-from .smoothing import (
-    MuSchedule,
-    SmoothedObjective,
-    smooth_abs,
-    smooth_max_zero,
-    smoothed_l1_objective,
-)
+from .smoothing import SmoothedObjective, smooth_abs, smooth_max_zero, smoothed_l1_objective
 
 __version__ = "0.1.0"

@@ -32,7 +32,6 @@ from .dynamics import SYSTEMS, SystemParams, build_field, check_params, mismatch
 from .errors import MirrorflowError, ParameterError, UsageError
 from .integrator import IntegratorConfig, integrate
 from .problems import PROBLEMS, problem_from_spec, reference_solution
-from .smoothing import MuSchedule
 from .diagnostics import evaluate_run
 
 def _parser() -> argparse.ArgumentParser:
@@ -42,7 +41,7 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="integrate one experiment and write artifacts")
     # no flag has a default: a flag overrides the config file, which overrides
-    # the defaults stated once in _validate, _build_problem and _settings
+    # the defaults stated once in _validate and _settings
     run.add_argument("--problem", help="catalogue name; omit when --config carries problem_spec")
     run.add_argument("--system", choices=sorted(SYSTEMS), help="flow to integrate, here or in --config")
     run.add_argument("--alpha", help="value or comma-separated sweep, e.g. 2,4,6")
@@ -67,8 +66,13 @@ def _parser() -> argparse.ArgumentParser:
 def _load_config(args) -> dict:
     merged = {}
     if args.config:
-        with open(args.config) as fh:
-            merged.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                merged = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON text
+            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(merged, dict):
+            raise UsageError(f"config {args.config} holds a {type(merged).__name__}, not an object")
     for key, val in vars(args).items():
         if key not in ("command", "config") and val is not None:
             merged[key] = val
@@ -87,7 +91,8 @@ def _validate(cfg: dict) -> tuple:
         raise UsageError(
             f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}")
     try:  # a ParameterError is a ValueError, as is a value that is not a number
-        problem = _build_problem(cfg)
+        problem = problem_from_spec(cfg["problem_spec"]) if "problem_spec" in cfg \
+            else PROBLEMS[name](cfg.get("seed", 1))
         if reason := mismatch(cfg["system"], problem):
             raise ParameterError(reason)
         alphas = [float(a) for a in str(cfg.get("alpha", "2")).split(",") if a.strip()]
@@ -102,19 +107,12 @@ def _validate(cfg: dict) -> tuple:
         raise UsageError(str(exc)) from exc
 
 
-def _build_problem(cfg: dict):
-    """The inline problem_spec when given, else the catalogue entry."""
-    if "problem_spec" in cfg:
-        return problem_from_spec(cfg["problem_spec"])
-    return PROBLEMS[cfg["problem"]](cfg.get("seed", 1))
-
-
 def _settings(cfg: dict, alpha: float):
-    """One job's SystemParams (with its mu schedule), IntegratorConfig and
+    """One job's SystemParams (mu0 for a smoothed system), IntegratorConfig and
     final time; raises ParameterError on a value the system does not take."""
     system, t0, tf = cfg["system"], float(cfg.get("t0", 1.0)), float(cfg.get("tf", 100.0))
-    mu = MuSchedule(float(cfg.get("mu0", 0.1)), alpha, t0) if SYSTEMS[system].smoothed else None
-    params = SystemParams(alpha=alpha, beta=float(cfg.get("beta", 1.0)), t0=t0, mu=mu)
+    mu0 = float(cfg.get("mu0", 0.1)) if SYSTEMS[system].smoothed else None
+    params = SystemParams(alpha=alpha, beta=float(cfg.get("beta", 1.0)), t0=t0, mu0=mu0)
     check_params(system, params)
     if not t0 < tf < math.inf:
         raise ParameterError(f"need a finite tf > t0, got [{t0}, {tf}]")
@@ -142,7 +140,7 @@ def run_single(cfg: dict, problem, ref, settings, out_dir: Path) -> dict:
         "beta": params.beta,
         "t0": params.t0,
         "tf": tf,
-        "mu0": params.mu.mu0 if params.mu else None,
+        "mu0": params.mu0,
         "seed": int(cfg.get("seed", 1)),
         "f_star": ref.f_star,
         "v0": report.v0,

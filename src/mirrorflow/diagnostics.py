@@ -2,19 +2,19 @@
 
 Every flow is certified by one argument. The energy
 V(t) = (t^2/alpha^2) core + Bregman terms + ||v - lam*||^2 / 2 is
-nonincreasing, where core = f(x) - f* + lam*.rho + penalty (+ 4 kappa mu(t)
-when smoothed), so core t^2 <= alpha^2 V(t0). A per-family descriptor
-(``_Family``, keyed by the system's problem class) supplies what differs: the
-residual rho (Ax - b, L x, or Abar x - d - L y*) and its penalty, the
-feasibility measure and its check's name and constant (2 alpha^2 V0/(beta t^2),
-or 2 alpha^2 V0/t^2 for the monotropic flows), the extra energy term
-||z - y*||^2 / 2 of the monotropic flows, and the window and lower checks.
-``evaluate_run`` walks the samples once; ``check_bounds`` re-runs the rate
-checks through the same builder. The centralized lower checks follow from
-the saddle inequality f - f* >= -lam*.r >= -||lam*|| ||r|| and the
-feasibility bound ||r|| <= alpha sqrt(2 V0/beta) / t. A bound against an
-infinite V(t0) (an optimum on the boundary of a Burg-entropy domain) holds
-trivially, with a warning; a NaN or -inf fails, naming the first such t.
+nonincreasing, where core = f_mu(x) - f_mu(x*) + lam*.rho + penalty
++ 4 kappa mu(t) (a smooth f has f_mu = f and kappa = mu = 0), so
+core t^2 <= alpha^2 V(t0). A per-family descriptor (``_Family``, keyed by the
+system's problem class) supplies what differs: the residual rho (Ax - b, L x,
+or Abar x - d - L y*) and its penalty, the feasibility measure and its check's
+name and constant (2 alpha^2 V0/(beta t^2), or 2 alpha^2 V0/t^2 for the
+monotropic flows), the extra energy term ||z - y*||^2 / 2 of the monotropic
+flows, and the window and lower checks. ``evaluate_run`` walks the samples
+once. The centralized lower checks follow from the saddle inequality
+f - f* >= -lam*.r >= -||lam*|| ||r|| and the feasibility bound
+||r|| <= alpha sqrt(2 V0/beta) / t. A bound against an infinite V(t0) (an
+optimum on the boundary of a Burg-entropy domain) holds trivially, with a
+warning; a NaN or -inf fails, naming the first such t.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import SYSTEMS, SystemParams, VectorField
+from .dynamics import SYSTEMS, VectorField
 from .errors import ParameterError
 from .integrator import Trajectory
 from .problems import ConsensusProblem, ConstrainedProblem, MonotropicProblem, ReferenceSolution
@@ -45,10 +45,8 @@ class BoundCheck:
 
 @dataclass
 class RunReport:
-    system: str
     times: np.ndarray
     primal_gap: np.ndarray
-    obj_gap: np.ndarray
     lagrangian_gap: np.ndarray
     feasibility: np.ndarray
     set_violation: np.ndarray
@@ -59,7 +57,6 @@ class RunReport:
     v0: float
     slope_gap: float
     slope_feasibility: float
-    kappa: float = 0.0
     bound_checks: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
@@ -225,17 +222,6 @@ _DEMO = _Family(_demo, "multiplier_consensus_rate", False, False, reference=_dem
 _FAMILIES = {ConstrainedProblem: _CENTRAL, ConsensusProblem: _CONSENSUS, MonotropicProblem: _DEMO}
 
 
-def _rate_checks(fam, times, core, feas, v0, alpha, beta, slack, warnings) -> list:
-    """The certificate's rate checks: core and the feasibility measure."""
-    feas_bound = 2.0 * alpha**2 * v0 / (beta * times**2) if fam.over_beta \
-        else 2.0 * alpha**2 * v0 / times**2
-    return [
-        _ratio_check("lagrangian_gap_rate", times, core, alpha**2 * v0 / times**2, slack, warnings),
-        _ratio_check(fam.feasibility, times, feas**2 if fam.squared else feas, feas_bound,
-                     slack, warnings),
-    ]
-
-
 def evaluate_run(fieldspec: VectorField, traj: Trajectory, ref: ReferenceSolution,
                  slack: float = DEFAULT_SLACK) -> RunReport:
     kind = fieldspec.kind
@@ -244,12 +230,10 @@ def evaluate_run(fieldspec: VectorField, traj: Trajectory, ref: ReferenceSolutio
     spec, problem, params = SYSTEMS[kind], fieldspec.problem, fieldspec.params
     fam, alpha, beta, smoothed = _FAMILIES[spec.problem], params.alpha, params.beta, spec.smoothed
     kappa, times = problem.kappa, traj.times
-    mu = np.array([params.mu.mu_at(t) for t in times]) if smoothed else np.zeros_like(times)
+    mu = np.array([params.mu_at(t) for t in times])
     warnings = list(traj.warnings) + (fam.reference(problem, ref) if fam.reference else [])
     x_star, lam_star, f_star = ref.x_star, ref.lam_star, ref.f_star
-    # mirror maps and block splitter; a centralized problem is one agent
-    mirrors, blocks = ((problem.mirror,), lambda w: (w,)) \
-        if isinstance(problem, ConstrainedProblem) else (problem.mirrors, problem.blocks)
+    mirrors, blocks = problem.mirrors, problem.blocks
     star_blocks = blocks(x_star)
 
     obj_gap, lag_gap, feas, setviol, lyap, x_norm, lam_norm, upper, window_bound, window_v0 = \
@@ -266,12 +250,12 @@ def evaluate_run(fieldspec: VectorField, traj: Trajectory, ref: ReferenceSolutio
         gap = problem.f_smooth(x, mu[i]) - problem.f_smooth(x_star, mu[i]) if smoothed \
             else obj_gap[i]
         lag_gap[i] = gap + lam_star @ rho + penalty
-        core = lag_gap[i] + 4.0 * kappa * mu[i] if smoothed else lag_gap[i]
+        core = lag_gap[i] + 4.0 * kappa * mu[i]
         breg = sum(m.bregman_to_point(xs, ui) for m, ui, xs in zip(mirrors, blocks(u), star_blocks))
         lyap[i] = (t ** 2 / alpha**2) * core + breg + 0.5 * float(np.sum((v - lam_star) ** 2)) \
             + extra
         if i == 0:  # the pieces of V(t0) that do not depend on the multiplier
-            f0_gap = gap + 4.0 * kappa * mu[0] if smoothed else gap
+            f0_gap = gap + 4.0 * kappa * mu[0]
             t0, rho0, penalty0, breg0, v_0 = t, rho, penalty, breg, v
         if window:  # V(t0) with the window's multiplier lam~ in place of lam*
             upper[i], unit = window
@@ -280,9 +264,15 @@ def evaluate_run(fieldspec: VectorField, traj: Trajectory, ref: ReferenceSolutio
             window_bound[i] = alpha**2 * window_v0[i] / t ** 2
 
     v0 = float(lyap[0])
-    core = lag_gap + 4.0 * kappa * mu if smoothed else lag_gap
-    checks = _rate_checks(fam, times, core, feas, v0, alpha, beta, slack, warnings)
-    checks.append(_positivity("saddle_positivity", times, core))
+    core = lag_gap + 4.0 * kappa * mu
+    feas_bound = 2.0 * alpha**2 * v0 / (beta * times**2) if fam.over_beta \
+        else 2.0 * alpha**2 * v0 / times**2
+    checks = [
+        _ratio_check("lagrangian_gap_rate", times, core, alpha**2 * v0 / times**2, slack, warnings),
+        _ratio_check(fam.feasibility, times, feas**2 if fam.squared else feas, feas_bound,
+                     slack, warnings),
+        _positivity("saddle_positivity", times, core),
+    ]
     if fam.lower:
         checks.append(_ratio_check("objective_window", times, upper, window_bound, slack,
                                    warnings, "residual-direction multiplier"))
@@ -306,21 +296,9 @@ def evaluate_run(fieldspec: VectorField, traj: Trajectory, ref: ReferenceSolutio
         warnings.append("neg_entropy exponent clamp was triggered during this run")
 
     return RunReport(
-        system=kind, times=times, primal_gap=np.abs(obj_gap), obj_gap=obj_gap,
-        lagrangian_gap=lag_gap, feasibility=feas, set_violation=setviol, lyapunov=lyap,
-        mu=mu, x_norm=x_norm, lambda_norm=lam_norm, v0=v0,
-        slope_gap=_safe_rate_fit(times, np.abs(obj_gap)),
-        slope_feasibility=_safe_rate_fit(times, feas),
-        kappa=kappa, bound_checks=checks, warnings=warnings,
+        times=times, primal_gap=np.abs(obj_gap), lagrangian_gap=lag_gap,
+        feasibility=feas, set_violation=setviol, lyapunov=lyap, mu=mu, x_norm=x_norm,
+        lambda_norm=lam_norm, v0=v0, slope_gap=_safe_rate_fit(times, np.abs(obj_gap)),
+        slope_feasibility=_safe_rate_fit(times, feas), bound_checks=checks, warnings=warnings,
     )
 
-
-def check_bounds(report: RunReport, params: SystemParams, v0: float,
-                 slack: float = DEFAULT_SLACK) -> list:
-    """Re-run the rate checks of a report against a given certificate value."""
-    warnings: list = []
-    core = report.lagrangian_gap + 4.0 * report.kappa * report.mu
-    fam = _FAMILIES[SYSTEMS[report.system].problem]
-    return _rate_checks(fam, report.times, core, report.feasibility, v0,
-                        params.alpha, params.beta, slack, warnings) \
-        + [_lyapunov_monotone(report.times, report.lyapunov, warnings)]

@@ -9,10 +9,10 @@ Centralized flow on (x, u, lam, v) for min f(x) s.t. A x = b, x in X:
 
 The consensus variant replaces A^T(Ax - b) by L x and A by L; the
 monotropic variant adds auxiliary blocks (y, z) that decompose the coupled
-resource constraint through the graph. Smoothed variants substitute the
-surrogate gradient grad f(x, mu(t)) with mu given by a deterministic
-schedule, never carried as extra state. An equivalent second-order form of
-the centralized flow is provided for cross-validation; it needs the
+resource constraint through the graph. Smoothed variants take the surrogate
+gradient grad f(x, mu(t)), with mu(t) from ``SystemParams.mu_at`` and never
+carried as state; a smooth f is the mu = 0 case. An equivalent second-order
+form of the centralized flow is provided for cross-validation; it needs the
 conjugate Hessian and therefore only supports the smooth map kinds.
 
 ``SYSTEMS`` names the seven flows: each is a problem class (the shape), a
@@ -30,15 +30,15 @@ import numpy as np
 from .errors import DomainError, ParameterError, SizeError, UnsupportedOperationError
 from .mirror_maps import ProjectionMap
 from .problems import ConsensusProblem, ConstrainedProblem, MonotropicProblem
-from .smoothing import MuSchedule
 
 
 @dataclass(frozen=True)
 class SystemParams:
+    """A flow's constants; mu0 > 0 scales mu(t) for a smoothed objective, else None."""
     alpha: float
     beta: float = 1.0
     t0: float = 1.0
-    mu: MuSchedule | None = None
+    mu0: float | None = None
 
     def __post_init__(self):
         if not 2 <= self.alpha < math.inf:
@@ -47,9 +47,16 @@ class SystemParams:
             raise ParameterError(f"beta must be finite and positive, got {self.beta}")
         if not 0 < self.t0 < math.inf:
             raise ParameterError(f"t0 must be finite and positive, got {self.t0}")
-        if self.mu is not None and self.mu.t0 > self.t0:
-            raise ParameterError(f"the mu schedule starts at t0 = {self.mu.t0}, "
-                                 f"after the system's t0 = {self.t0}")
+        if self.mu0 is not None and not 0 < self.mu0 < math.inf:
+            raise ParameterError(f"mu0 must be finite and positive, got {self.mu0}")
+
+    def mu_at(self, t: float) -> float:
+        """mu(t) = mu0 t^(-2 alpha) for t >= t0; 0 at any t when mu0 is None."""
+        if self.mu0 is None:
+            return 0.0
+        if t < self.t0:
+            raise ParameterError(f"mu_at called with t = {t} < t0 = {self.t0}")
+        return self.mu0 * float(t) ** (-2.0 * self.alpha)
 
 
 @dataclass(frozen=True)
@@ -88,12 +95,16 @@ def _check_time(t: float):
         raise DomainError(f"the dynamics are defined for t > 0, got t = {t}")
 
 
+def _dual_start(problem) -> np.ndarray:
+    """The default dual start u0: each mirror map's dual_start over its block."""
+    return np.concatenate([np.full(m.dim, m.dual_start) for m in problem.mirrors])
+
+
 # --------------------------------------------------------------------------
 # centralized first-order flows
 # --------------------------------------------------------------------------
 
-def _centralized_field(problem: ConstrainedProblem, params: SystemParams, kind: str,
-                       smoothed: bool) -> VectorField:
+def _centralized_field(problem: ConstrainedProblem, params: SystemParams, kind: str) -> VectorField:
     a, b = problem.a, problem.b
     mirror = problem.mirror
     n, m = problem.dim, problem.n_constraints
@@ -101,7 +112,7 @@ def _centralized_field(problem: ConstrainedProblem, params: SystemParams, kind: 
     layout = StateLayout((("x", n), ("u", n), ("lam", m), ("v", m)))
     a_t_mat = a.T
     grad_conjugate, grad_f = mirror.grad_conjugate, problem.grad
-    mu_at = params.mu.mu_at if smoothed else None
+    mu_at = params.mu_at
     o1, o2, o3 = n, 2 * n, 2 * n + m
 
     # each block is written into `out` in place, in the operation order of
@@ -113,7 +124,7 @@ def _centralized_field(problem: ConstrainedProblem, params: SystemParams, kind: 
         gx = grad_conjugate(u)
         r = np.dot(a, x)
         r -= b
-        grad = grad_f(x, mu_at(t)) if smoothed else grad_f(x)
+        grad = grad_f(x, mu_at(t))
         out = np.empty_like(y)
         dx, du, dlam, dv = out[:o1], out[o1:o2], out[o2:o3], out[o3:]
         np.subtract(gx, x, out=dx)
@@ -130,7 +141,7 @@ def _centralized_field(problem: ConstrainedProblem, params: SystemParams, kind: 
         dv *= t_a
         return out
 
-    u0 = np.full(mirror.dim, mirror.dual_start)
+    u0 = _dual_start(problem)
     y0 = layout.pack(x=mirror.grad_conjugate(u0), u=u0, lam=np.zeros(m), v=np.zeros(m))
     return VectorField(kind, rhs, layout, problem, params, y0)
 
@@ -163,7 +174,7 @@ def apdmd_second_order_field(problem: ConstrainedProblem, params: SystemParams) 
         ddlam = -((alpha + 1.0) / t) * dlam + a @ w - b
         return layout.pack(x=dx, dx=ddx, lam=dlam, dlam=ddlam)
 
-    u0 = np.full(mirror.dim, mirror.dual_start)
+    u0 = _dual_start(problem)
     y0 = layout.pack(x=mirror.grad_conjugate(u0), dx=np.zeros(n),
                      lam=np.zeros(m), dlam=np.zeros(m))
     return VectorField("apdmd2", rhs, layout, problem, params, y0)
@@ -173,15 +184,14 @@ def apdmd_second_order_field(problem: ConstrainedProblem, params: SystemParams) 
 # distributed consensus flows
 # --------------------------------------------------------------------------
 
-def _consensus_field(problem: ConsensusProblem, params: SystemParams, kind: str,
-                     smoothed: bool) -> VectorField:
+def _consensus_field(problem: ConsensusProblem, params: SystemParams, kind: str) -> VectorField:
     l_n = problem.lifted.l_n
     nodes = l_n.shape[0]
     n = problem.dim
     alpha, beta = params.alpha, params.beta
     layout = StateLayout((("x", n), ("u", n), ("lam", n), ("v", n)))
     grad_stacked, map_stacked = problem.grad_stacked, problem.map_stacked
-    mu_at = params.mu.mu_at if smoothed else None
+    mu_at = params.mu_at
 
     # du = -(t/alpha) (grad + L (beta x + v)) and dv = (t/alpha) L gx, with
     # L = L_n (x) I_m applied to the (nodes x m) view of a stacked vector; each
@@ -191,7 +201,7 @@ def _consensus_field(problem: ConsensusProblem, params: SystemParams, kind: str,
         a_t, t_a = alpha / t, t / alpha
         x, u, lam, v = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
         gx = map_stacked(u)
-        grad = grad_stacked(x, mu_at(t)) if smoothed else grad_stacked(x)
+        grad = grad_stacked(x, mu_at(t))
         out = np.empty_like(y)
         dx, du, dlam, dv = out[:n], out[n:2 * n], out[2 * n:3 * n], out[3 * n:]
         np.subtract(gx, x, out=dx)
@@ -207,7 +217,7 @@ def _consensus_field(problem: ConsensusProblem, params: SystemParams, kind: str,
         dv *= t_a
         return out
 
-    u0 = np.concatenate([np.full(m.dim, m.dual_start) for m in problem.mirrors])
+    u0 = _dual_start(problem)
     y0 = layout.pack(x=problem.map_stacked(u0), u=u0, lam=np.zeros(n), v=np.zeros(n))
     return VectorField(kind, rhs, layout, problem, params, y0)
 
@@ -216,8 +226,7 @@ def _consensus_field(problem: ConsensusProblem, params: SystemParams, kind: str,
 # distributed monotropic flows
 # --------------------------------------------------------------------------
 
-def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str,
-                smoothed: bool) -> VectorField:
+def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str) -> VectorField:
     a_bar, d = problem.a_bar, problem.d
     a_bar_t = a_bar.T
     lap = problem.lifted
@@ -227,7 +236,7 @@ def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str,
     alpha = params.alpha
     layout = StateLayout((("x", n), ("u", n), ("lam", q), ("v", q), ("y", q), ("z", q)))
     grad_stacked, map_stacked = problem.grad_stacked, problem.map_stacked
-    mu_at = params.mu.mu_at if smoothed else None
+    mu_at = params.mu_at
     o1, o2, o3, o4, o5 = n, 2 * n, 2 * n + q, 2 * n + 2 * q, 2 * n + 3 * q
 
     # The brackets du = grad + Abar^T v, dv = Abar gx - d + L (z - lam),
@@ -240,7 +249,7 @@ def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str,
         x, u = y[:o1], y[o1:o2]
         lam, v, yv, z = y[o2:o3], y[o3:o4], y[o4:o5], y[o5:]
         gx = map_stacked(u)
-        grad = grad_stacked(x, mu_at(t)) if smoothed else grad_stacked(x)
+        grad = grad_stacked(x, mu_at(t))
         out = np.empty_like(y)
         dx, du, dlam = out[:o1], out[o1:o2], out[o2:o3]
         dv, dy, dz = out[o3:o4], out[o4:o5], out[o5:]
@@ -260,7 +269,7 @@ def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str,
         out *= factor
         return out
 
-    u0 = np.concatenate([np.full(m.dim, m.dual_start) for m in problem.mirrors])
+    u0 = _dual_start(problem)
     x0 = problem.map_stacked(u0)
     # start the auxiliary variable at the least-squares solution of
     # L y = d - A x0, which removes the representable part of the initial
@@ -313,13 +322,9 @@ def mismatch(system: str, problem) -> str | None:
 def check_params(system: str, params: SystemParams):
     """Raise ParameterError when the system's analysis does not cover params."""
     spec = SYSTEMS[system]
-    if spec.smoothed and params.mu is None:
-        raise ParameterError(f"{system} needs a mu schedule in SystemParams")
-    if spec.smoothed and params.mu.alpha < params.alpha:
-        raise ParameterError(
-            f"mu schedule must decay at least as fast as t^(-2 alpha): "
-            f"schedule alpha {params.mu.alpha} < system alpha {params.alpha}"
-        )
+    if spec.smoothed != (params.mu0 is not None):
+        raise ParameterError(f"{system} needs mu0 in SystemParams" if spec.smoothed
+                             else f"{system} has a smooth objective; mu0 must be None")
     if spec.problem is MonotropicProblem and params.beta != 1.0:
         raise ParameterError(f"{system} is analyzed with beta = 1; got beta = {params.beta}")
 
@@ -329,8 +334,6 @@ def build_field(system: str, problem, params: SystemParams) -> VectorField:
         raise ParameterError(reason)
     check_params(system, params)
     # a clamp flag reports on one run: the run of the field built here
-    mirrors = (problem.mirror,) if isinstance(problem, ConstrainedProblem) else problem.mirrors
-    for mirror in mirrors:
+    for mirror in problem.mirrors:
         mirror.clamp_triggered = False
-    spec = SYSTEMS[system]
-    return _BUILDERS[spec.problem](problem, params, system, spec.smoothed)
+    return _BUILDERS[SYSTEMS[system].problem](problem, params, system)

@@ -119,6 +119,13 @@ class ConstrainedProblem:
     def set_violation(self, x) -> float:
         return self.mirror.set_violation(x)
 
+    @property
+    def mirrors(self) -> tuple:  # a centralized problem is one agent
+        return (self.mirror,)
+
+    def blocks(self, x) -> tuple:
+        return (x,)
+
     def grad(self, x, mu: float | None = None) -> np.ndarray:
         if self.is_smoothed:
             return self.objective.grad(x, mu)
@@ -441,39 +448,52 @@ PROBLEMS: dict[str, Callable] = {
 }
 
 
-def _objective_from_spec(spec: dict, dim: int):
-    kind = spec.get("kind", "quadratic")
+def _spec_object(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
+def _spec_array(spec: dict, key: str, what: str, scalar: bool = False):
+    """spec[key] as a float array, or a float when scalar; else a ParameterError."""
+    if key not in spec:
+        raise ParameterError(f"{what} needs {key!r}")
+    try:
+        value = np.asarray(spec[key], dtype=float)
+        return float(value) if scalar else value
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} {key!r} is not {'a number' if scalar else 'numeric'}: "
+                             f"{spec[key]!r}") from None
+
+
+def _objective_from_spec(spec, dim: int):
+    what = "problem_spec objective"
+    kind = _spec_object(spec, what).get("kind", "quadratic")
     if kind == "quadratic":
-        return quadratic_objective(np.asarray(spec["q"], dtype=float))
+        return quadratic_objective(_spec_array(spec, "q", what))
     if kind == "logistic":
-        return logistic_objective(np.asarray(spec["w"], dtype=float))
+        return logistic_objective(_spec_array(spec, "w", what))
     if kind == "l1":
         return smoothed_l1_objective(dim)
     raise ParameterError(f"unknown objective kind {kind!r}")
 
 
-def _mirror_from_spec(spec: dict, dim: int) -> MirrorMap:
-    kind = spec.get("kind", "euclidean")
-    if kind == "euclidean":
-        return EuclideanMap(dim)
-    if kind == "neg_entropy":
-        return NegEntropyMap(dim)
-    if kind == "itakura_saito":
-        return ItakuraSaitoMap(dim)
-    if kind == "simplex_entropy":
-        return SimplexEntropyMap(dim)
+def _mirror_from_spec(spec, dim: int) -> MirrorMap:
+    what = "problem_spec set"
+    kind = _spec_object(spec, what).get("kind", "euclidean")
+    for smooth_map in (EuclideanMap, NegEntropyMap, ItakuraSaitoMap, SimplexEntropyMap):
+        if kind == smooth_map.kind:
+            return smooth_map(dim)
     if kind == "box":
-        return ProjectionMap(Box(lo=np.asarray(spec["lo"], dtype=float),
-                                 hi=np.asarray(spec["hi"], dtype=float)))
+        return ProjectionMap(Box(lo=_spec_array(spec, "lo", what), hi=_spec_array(spec, "hi", what)))
     if kind == "sphere":
-        return ProjectionMap(Sphere(center=np.asarray(spec["center"], dtype=float),
-                                    radius=float(spec["radius"])))
+        return ProjectionMap(Sphere(center=_spec_array(spec, "center", what),
+                                    radius=_spec_array(spec, "radius", what, scalar=True)))
     if kind == "halfspace":
-        return ProjectionMap(HalfSpace(a=np.asarray(spec["a"], dtype=float),
-                                       b=float(spec["b"])))
+        return ProjectionMap(HalfSpace(a=_spec_array(spec, "a", what),
+                                       b=_spec_array(spec, "b", what, scalar=True)))
     if kind == "affine":
-        return ProjectionMap(AffineSet(a=np.asarray(spec["a"], dtype=float),
-                                       b=np.asarray(spec["b"], dtype=float)))
+        return ProjectionMap(AffineSet(a=_spec_array(spec, "a", what), b=_spec_array(spec, "b", what)))
     raise ParameterError(f"unknown set kind {kind!r}")
 
 
@@ -483,8 +503,9 @@ def problem_from_spec(spec: dict) -> ConstrainedProblem:
     {"a": [[1, 1]], "b": [2], "objective": {"kind": "quadratic", "q": ...},
      "set": {"kind": "box", "lo": [...], "hi": [...]}}
     """
-    a = as_matrix(np.asarray(spec["a"], dtype=float), "constraint matrix")
-    b = as_vector(np.asarray(spec["b"], dtype=float), "right-hand side")
+    spec = _spec_object(spec, "problem_spec")
+    a = as_matrix(_spec_array(spec, "a", "problem_spec"), "constraint matrix")
+    b = as_vector(_spec_array(spec, "b", "problem_spec"), "right-hand side")
     mirror = _mirror_from_spec(spec.get("set", {}), a.shape[1])
     objective = _objective_from_spec(spec.get("objective", {}), a.shape[1])
     return ConstrainedProblem(objective, a, b, mirror)

@@ -1,5 +1,5 @@
-"""Smooth surrogates for max{0,s} and |s|, the smoothed l1 objective, and the
-decreasing mu(t) schedule used by the smoothed dynamics.
+"""Smooth surrogates for max{0,s} and |s| and the smoothed l1 objective; the
+smoothed dynamics take mu(t) from ``SystemParams.mu_at``.
 
 Both scalar surrogates match the exact function outside a band of width
 proportional to mu and replace it by a quadratic inside, so
@@ -12,7 +12,6 @@ up under nonnegative combinations (n/4 for the l1 norm in R^n).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,28 +57,6 @@ def smooth_abs_grad(s, mu: float):
     np.maximum(out, -1.0, out=out)
     np.minimum(out, 1.0, out=out)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class MuSchedule:
-    """mu(t) = mu0 * t^(-2 alpha) for t >= t0 > 0, with alpha >= 2."""
-
-    mu0: float
-    alpha: float
-    t0: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.mu0 < math.inf:
-            raise ParameterError(f"mu0 must be finite and positive, got {self.mu0}")
-        if not 2 <= self.alpha < math.inf:
-            raise ParameterError("mu schedule needs a finite alpha >= 2")
-        if not 0 < self.t0 < math.inf:
-            raise ParameterError("mu schedule needs a finite t0 > 0")
-
-    def mu_at(self, t: float) -> float:
-        if t < self.t0:
-            raise ParameterError(f"mu_at called with t = {t} < t0 = {self.t0}")
-        return self.mu0 * float(t) ** (-2.0 * self.alpha)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from mirrorflow.cli import _validate, main
 from mirrorflow.dynamics import SYSTEMS, SystemParams, build_field
 from mirrorflow.errors import ParameterError, UsageError
 from mirrorflow.problems import PROBLEMS, reference_solution
-from mirrorflow.smoothing import MuSchedule
 
 # (shape, smoothed) of every catalogue problem and of what each system accepts
 _PROBLEM_KINDS = {
@@ -202,7 +201,7 @@ def test_validate_accepts_exactly_the_compatible_pairs(problem, system, tmp_path
     # the API accepts the same pairs as the CLI, and rejects the others with the same reason
     cfg = {"problem": problem, "system": system, "seed": 1}
     smoothed = _SYSTEM_KINDS[system][1]
-    params = SystemParams(alpha=3.0, mu=MuSchedule(0.1, 3.0) if smoothed else None)
+    params = SystemParams(alpha=3.0, mu0=0.1 if smoothed else None)
     if _PROBLEM_KINDS[problem] == _SYSTEM_KINDS[system] and system not in _PROJECTION_SYSTEMS:
         _validate(cfg)
         assert build_field(system, PROBLEMS[problem](1), params).kind == system
@@ -425,3 +424,48 @@ def test_no_package_module_uses_numpy_random():
                 and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
             offenders.append(f"{name}:{node.lineno} {node.value.id}.random")
     assert offenders == []
+
+
+_QUADRATIC = {"kind": "quadratic", "q": [[0.5, 0.0], [0.0, 0.5]]}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"problem_spec": {"b": [1.0]}}, "problem_spec needs 'a'"),
+    ({"problem_spec": {"a": [[1.0, 1.0]], "b": [2.0], "objective": _QUADRATIC,
+                       "set": {"kind": "box", "lo": [0.0, 0.0]}}}, "problem_spec set needs 'hi'"),
+    ({"problem_spec": {"a": [[1.0, 1.0]], "b": [2.0], "objective": _QUADRATIC,
+                       "set": {"kind": "sphere", "center": [0.0, 0.0]}}},
+     "problem_spec set needs 'radius'"),
+    ({"problem_spec": {"a": [[1.0, 1.0]], "b": [2.0], "objective": {"kind": "quadratic"}}},
+     "problem_spec objective needs 'q'"),
+    ({"problem_spec": {"a": [[1.0, 1.0]], "b": [2.0], "objective": {"kind": "logistic"}}},
+     "problem_spec objective needs 'w'"),
+    ({"problem_spec": [1, 2]}, "problem_spec must be a JSON object, got list"),
+    ({"problem_spec": {"a": [[1.0, 1.0]], "b": [2.0], "objective": _QUADRATIC, "set": "box"}},
+     "problem_spec set must be a JSON object, got str"),
+    ({"problem_spec": {"a": [[1.0, 1.0]], "b": [2.0], "objective": "quadratic"}},
+     "problem_spec objective must be a JSON object, got str"),
+    ({"problem_spec": {"a": [[1.0, 1.0]], "b": [2.0], "objective": {"kind": "quadratic",
+                                                                      "q": {"x": 1}}}},
+     "problem_spec objective 'q' is not numeric: {'x': 1}"),
+    ({"problem_spec": {"a": [[1.0, 1.0]], "b": [2.0], "objective": _QUADRATIC,
+                       "set": {"kind": "sphere", "center": [0.0, 0.0], "radius": [1.0, 2.0]}}},
+     "problem_spec set 'radius' is not a number: [1.0, 2.0]"),
+    ([1], "holds a list, not an object"),
+    ("{not json", "cannot read config"),
+    (None, "cannot read config"),
+], ids=["spec-no-a", "box-no-hi", "sphere-no-radius", "quadratic-no-q", "logistic-no-w",
+        "spec-list", "set-string", "objective-string", "q-not-numeric", "radius-not-a-number",
+        "config-list", "config-not-json", "config-missing"])
+def test_malformed_config_is_usage_error(config, message, tmp_path, capsys):
+    # rejected before any output: exit 2 and a message naming the key or the type
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["run", "--system", "apdmd", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()

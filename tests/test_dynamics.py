@@ -21,7 +21,6 @@ from mirrorflow.problems import (
     reference_solution,
 )
 from mirrorflow.projections import Box
-from mirrorflow.smoothing import MuSchedule
 
 
 def test_params_validation():
@@ -184,9 +183,7 @@ def test_smoothed_field_validation_and_band_behavior():
     problem = build_nbp(seed=1)
     with pytest.raises(ParameterError):
         build_field("sapdmd", problem, SystemParams(alpha=2.0))  # no schedule
-    with pytest.raises(ParameterError):
-        build_field("sapdmd", problem, SystemParams(alpha=4.0, mu=MuSchedule(0.1, 2.0)))
-    params = SystemParams(alpha=2.0, mu=MuSchedule(0.1, 2.0))
+    params = SystemParams(alpha=2.0, mu0=0.1)
     field = build_field("sapdmd", problem, params)
     # coordinates outside the band see the exact subgradient sign(x)
     n, m = problem.dim, problem.n_constraints
@@ -203,12 +200,12 @@ def test_smoothed_field_validation_and_band_behavior():
 
 def test_sapdmd_matches_independent_formula_on_random_state():
     problem = build_nbp(seed=2)
-    params = SystemParams(alpha=2.0, beta=1.0, mu=MuSchedule(0.1, 2.0))
+    params = SystemParams(alpha=2.0, beta=1.0, mu0=0.1)
     field = build_field("sapdmd", problem, params)
     rng = np.random.default_rng(11)
     y = rng.normal(size=field.layout.size) * 0.5
     t = 3.3
-    mu_t = params.mu.mu_at(t)
+    mu_t = params.mu_at(t)
     s = field.layout.split(y)
     from mirrorflow.smoothing import smooth_abs_grad
 
@@ -232,8 +229,7 @@ def test_sapdmd_matches_independent_formula_on_random_state():
 def test_apdmd_rhs_is_bit_exact_to_formula(problem, system):
     # the in-place rhs keeps the operation order of the blockwise expression,
     # so a run's trajectory does not move by one bit
-    mu = MuSchedule(0.1, 3.0) if system == "sapdmd" else None
-    params = SystemParams(alpha=3.0, beta=2.5, mu=mu)
+    params = SystemParams(alpha=3.0, beta=2.5, mu0=0.1 if system == "sapdmd" else None)
     field = build_field(system, problem, params)
     a, b, mirror = problem.a, problem.b, problem.mirror
     rng = np.random.default_rng(13)
@@ -242,7 +238,7 @@ def test_apdmd_rhs_is_bit_exact_to_formula(problem, system):
         s = field.layout.split(y)
         x, u, lam, v = s["x"], s["u"], s["lam"], s["v"]
         gx = mirror.grad_conjugate(u)
-        grad = problem.grad(x, mu.mu_at(t)) if mu else problem.grad(x)
+        grad = problem.grad(x, params.mu_at(t)) if params.mu0 else problem.grad(x)
         expected = field.layout.pack(
             x=(params.alpha / t) * (gx - x),
             u=-(t / params.alpha) * (grad + params.beta * (a.T @ (a @ x - b)) + a.T @ v),
@@ -270,12 +266,12 @@ def test_sadpdmd_row_rhs_is_bit_exact_to_formula():
     # the in-place rhs must give the bits of the plain expressions below, in
     # their operation order, so trajectories stay byte-identical
     problem = build_dbp_row(1)
-    params = SystemParams(alpha=3.0, beta=1.0, mu=MuSchedule(10.0, 3.0))
+    params = SystemParams(alpha=3.0, beta=1.0, mu0=10.0)
     field = build_field("sadpdmd", problem, params)
     l_n, n = problem.lifted.l_n, problem.dim
     rng = np.random.default_rng(31)
     for t in (1.0, 2.7, 13.3, 61.0):
-        mu_t = params.mu.mu_at(t)
+        mu_t = params.mu_at(t)
         y = _state_straddling_band(field, n, mu_t, rng)
         x, u, lam, v = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
         # map_stacked is the batched affine projection the field calls itself
@@ -292,13 +288,13 @@ def test_sadpdmd_row_rhs_is_bit_exact_to_formula():
 
 def test_sadmd_col_rhs_is_bit_exact_to_formula():
     problem = build_dbp_col(54)
-    params = SystemParams(alpha=3.0, beta=1.0, mu=MuSchedule(1000.0, 3.0))
+    params = SystemParams(alpha=3.0, beta=1.0, mu0=1000.0)
     field = build_field("sadmd", problem, params)
     a_bar, d, l_n = problem.a_bar, problem.d, problem.lifted.l_n
     n, q = problem.dim, problem.multiplier_dim
     rng = np.random.default_rng(32)
     for t in (1.0, 2.7, 13.3, 80.0):
-        mu_t = params.mu.mu_at(t)
+        mu_t = params.mu_at(t)
         y = _state_straddling_band(field, n, mu_t, rng)
         x, u = y[:n], y[n:2 * n]
         lam, v, yv, z = (y[2 * n + i * q:2 * n + (i + 1) * q] for i in range(4))
@@ -429,8 +425,7 @@ def test_trajectory_feasibility_all_systems():
         (build_dbp_col(1), "sadmd", 3.0, 1.0, 3.0),
     ]
     for problem, system, alpha, mu0, tf in cases:
-        mu = MuSchedule(mu0, alpha) if mu0 else None
-        field = build_field(system, problem, SystemParams(alpha=alpha, beta=1.0, mu=mu))
+        field = build_field(system, problem, SystemParams(alpha=alpha, beta=1.0, mu0=mu0))
         traj = integrate(field.rhs, field.initial_state, 1.0, tf,
                          IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8))
         ref = ref_of(problem, 1e-8)
@@ -438,8 +433,28 @@ def test_trajectory_feasibility_all_systems():
         assert rep.feasibility_max_violation <= 1e-6, (system, rep.feasibility_max_violation)
 
 
-def test_params_reject_mu_schedule_starting_after_t0():
-    with pytest.raises(ParameterError, match="mu schedule starts at t0 = 1.0"):
-        SystemParams(alpha=2.0, t0=0.5, mu=MuSchedule(0.1, 2.0, t0=1.0))
-    # a schedule that starts earlier covers the whole run
-    SystemParams(alpha=2.0, t0=2.0, mu=MuSchedule(0.1, 2.0, t0=1.0))
+@pytest.mark.parametrize("system, problem", [
+    ("apdmd", build_scalar()), ("adpdmd", build_dis_logistic()), ("admd", build_dist_qp(1)),
+])
+def test_smooth_system_rejects_mu0(system, problem):
+    # a smooth run is the mu = 0 case; a mu0 there would only reach the report
+    with pytest.raises(ParameterError, match=f"{system} has a smooth objective; mu0 must be None"):
+        build_field(system, problem, SystemParams(alpha=3.0, mu0=0.1))
+
+
+@pytest.mark.parametrize("system, problem", [
+    ("sapdmd", build_nbp(1)), ("sadpdmd", build_dbp_row(1)), ("sadmd", build_dbp_col(1)),
+])
+def test_smoothed_system_needs_mu0(system, problem):
+    with pytest.raises(ParameterError, match=f"{system} needs mu0 in SystemParams"):
+        build_field(system, problem, SystemParams(alpha=3.0))
+
+
+def test_smooth_field_evaluates_before_t0():
+    # mu(t) is 0 for a smooth run at any t > 0; only a smoothed run guards t0
+    problem = build_scalar()
+    field = build_field("apdmd", problem, SystemParams(alpha=2.0, t0=2.0))
+    assert np.all(np.isfinite(field.rhs(0.5, field.initial_state)))
+    smoothed = build_field("sapdmd", build_nbp(1), SystemParams(alpha=2.0, t0=2.0, mu0=0.1))
+    with pytest.raises(ParameterError, match="t = 0.5 < t0 = 2.0"):
+        smoothed.rhs(0.5, smoothed.initial_state)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from mirrorflow.dynamics import SystemParams
 from mirrorflow.errors import ParameterError
 from mirrorflow.numerics import SeededRng
 from mirrorflow.smoothing import (
-    MuSchedule,
     smooth_abs,
     smooth_abs_grad,
     smooth_max_zero,
@@ -126,13 +126,29 @@ def test_smoothed_objective_kappa_bound():
 
 
 def test_mu_schedule():
-    sched = MuSchedule(mu0=1.0, alpha=2.0)
-    assert sched.mu_at(1.0) == 1.0
-    assert sched.mu_at(2.0) == 0.0625
+    # mu(t) = mu0 t^(-2 alpha), stated by SystemParams
+    params = SystemParams(alpha=2.0, mu0=1.0)
+    assert params.mu_at(1.0) == 1.0
+    assert params.mu_at(2.0) == 0.0625
     ts = np.linspace(1.0, 30.0, 100)
-    vals = [sched.mu_at(t) for t in ts]
+    vals = [params.mu_at(t) for t in ts]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+    assert SystemParams(alpha=3.0, mu0=1000.0).mu_at(86.0) == 1000.0 * 86.0 ** -6.0
+    with pytest.raises(ParameterError, match="t = 0.5 < t0 = 1.0"):
+        params.mu_at(0.5)
+    with pytest.raises(ParameterError, match="t = 1.5 < t0 = 2.0"):
+        SystemParams(alpha=2.0, t0=2.0, mu0=1.0).mu_at(1.5)
     with pytest.raises(ParameterError):
-        sched.mu_at(0.5)
-    with pytest.raises(ParameterError):
-        MuSchedule(mu0=1.0, alpha=1.0)
+        SystemParams(alpha=1.0, mu0=1.0)
+
+
+def test_mu_is_zero_without_mu0():
+    # a smooth run is the mu = 0 case, at any t > 0, before t0 included
+    params = SystemParams(alpha=2.0, t0=2.0)
+    assert [params.mu_at(t) for t in (0.5, 2.0, 1e6)] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("mu0", [0.0, -1.0, float("inf"), float("nan")])
+def test_mu0_must_be_finite_and_positive(mu0):
+    with pytest.raises(ParameterError, match="mu0 must be finite and positive"):
+        SystemParams(alpha=2.0, mu0=mu0)
