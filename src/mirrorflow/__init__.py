@@ -36,6 +36,6 @@ from .problems import (
     reference_solution,
 )
 from .projections import AffineSet, Box, HalfSpace, PositiveOrthant, Projector, Simplex, Sphere
-from .smoothing import SmoothedObjective, smooth_abs, smooth_max_zero, smoothed_l1_objective
+from .smoothing import L1Objective, smooth_abs, smooth_max_zero
 
 __version__ = "0.1.0"

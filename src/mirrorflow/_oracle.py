@@ -258,6 +258,9 @@ def solve_consensus_l1(problem: ConsensusProblem, tol: float) -> ReferenceSoluti
 
 
 def solve_demo_l1(problem: MonotropicProblem, tol: float) -> ReferenceSolution:
+    kinds = sorted({m.projector.kind for m in problem.mirrors} - {"free"})
+    if kinds:
+        raise OracleError(f"demo l1 oracle solves over free space, not a {kinds[0]!r} set")
     a_full = np.hstack(problem.a_blocks)
     b_total = np.sum(np.stack(problem.d_blocks), axis=0)
     x, eta, kkt = _min_l1(a_full, b_total, nonnegative=False)

@@ -57,8 +57,8 @@ class _Checker:
         self.ok = True
 
     def expect(self, condition: bool, message: str):
-        tag = "ok " if condition else "BAD"
-        self.details.append(f"  {tag} {message}")
+        mark = "ok " if condition else "BAD"
+        self.details.append(f"  {mark} {message}")
         self.ok = self.ok and bool(condition)
 
 

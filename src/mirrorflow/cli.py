@@ -63,6 +63,15 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# the type each run entry takes, as its flag parses it; a JSON bool is none of them
+_WHOLE = ("seed", "max_steps")  # a float such as 3.0 counts, as SeededRng takes it
+_ENTRY_TYPES = {**dict.fromkeys(("problem", "system", "out"), (str, "a string")),
+                **dict.fromkeys(_WHOLE, ((int, float), "a whole number")),
+                **dict.fromkeys(("beta", "t0", "tf", "mu0", "rel_tol", "abs_tol"),
+                                ((int, float), "a number")),
+                "alpha": ((str, int, float), "a number or a comma-separated string")}
+
+
 def _load_config(args) -> dict:
     merged = {}
     if args.config:
@@ -78,6 +87,11 @@ def _load_config(args) -> dict:
             merged[key] = val
     if "problem_spec" in merged and not merged.get("problem"):
         merged["problem"] = "custom"
+    for key, (types, what) in _ENTRY_TYPES.items():
+        val = merged.get(key)
+        if key in merged and (isinstance(val, bool) or not isinstance(val, types) or key in _WHOLE
+                              and isinstance(val, float) and not val.is_integer()):
+            raise UsageError(f"config {key!r} must be {what}, got {val!r}")
     return merged
 
 
@@ -245,8 +259,8 @@ def cmd_list(args) -> int:
     if not needle:
         print()
         for name, spec in sorted(SYSTEMS.items()):
-            tag = "smoothed" if spec.smoothed else "smooth"
-            print(f"{name:10s} {tag:9s} for {spec.problem.__name__}")
+            kind = "smoothed" if spec.smoothed else "smooth"
+            print(f"{name:10s} {kind:9s} for {spec.problem.__name__}")
     return 0
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationError, NumericError, ParameterError
+from .numerics import all_finite
 
 # Butcher tableau (Dormand & Prince 1980), rows of stage coefficients.
 # The nodes are plain floats: they only ever scale the scalar step size.
@@ -90,17 +91,6 @@ def _hermite(theta, h, y0, y1, f0, f1):
     return h00 * y0 + (h10 * h) * f0 + h01 * y1 + (h11 * h) * f1
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite.
-
-    a.a is a sum of squares: any inf or NaN entry makes it non-finite, so a
-    finite a.a settles the question with one BLAS call. Only a non-finite
-    a.a (a bad entry, or overflow of entries beyond about 1e154) needs the
-    entrywise test.
-    """
-    return math.isfinite(np.dot(a, a)) or bool(np.isfinite(a).all())
-
-
 def _initial_step(t0, y0, f0, rel_tol, abs_tol, tf):
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = np.max(np.abs(y0) / scale)
@@ -109,9 +99,9 @@ def _initial_step(t0, y0, f0, rel_tol, abs_tol, tf):
     return min(h, 0.1 * (tf - t0))
 
 
-# Overflow warnings are off: an overflow to inf, in the field or in
-# _all_finite's a.a, only makes a stage non-finite, and such a stage is
-# rejected. One errstate per call, as a per-check one costs more than the check.
+# Overflow warnings are off: an overflow to inf, in the field or in the
+# stage and error arithmetic, only makes a stage non-finite, and such a
+# stage is rejected. One errstate per call, as a per-check one costs more than the check.
 @np.errstate(over="ignore")
 def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = None,
               sample_times=None) -> Trajectory:
@@ -144,7 +134,7 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
             k = np.asarray(f(t, y), dtype=float)
         except (DomainError, ArithmeticError):  # NumericError and ZeroDivisionError included
             return None
-        if k.shape != y.shape or not _all_finite(k):
+        if k.shape != y.shape or not all_finite(k):
             return None
         return k
 
@@ -210,7 +200,7 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
         else:
             err = np.inf
 
-        if err <= 1.0 and _all_finite(y_new):
+        if err <= 1.0 and all_finite(y_new):
             t_new = t + h
             f_new = k[6]  # FSAL: last stage is f(t_new, y_new)
             # emit interpolated samples covered by this step

@@ -22,20 +22,18 @@ _MAX_KRON_ENTRIES = 50_000_000
 DEFAULT_RANK_TOL = 1e-12
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    # one reduction on the fast path; the sum is non-finite whenever any
-    # entry is, and a finite-but-overflowing sum falls back to the full scan
-    s = arr.sum()
-    if np.isfinite(s):
-        return True
-    return bool(np.isfinite(arr).all())
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the 1-D array a is finite. A finite a.a, one BLAS
+    call, settles it; only a bad entry or an overflow of a.a (entries beyond
+    about 1e154) needs the scan. vdot, unlike dot, does not warn on overflow."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise SizeError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not _all_finite(v):
+    if not all_finite(v):
         raise NumericError(f"{name} contains non-finite entries")
     return v
 
@@ -44,7 +42,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise SizeError(f"{name} must be two-dimensional, got shape {m.shape}")
-    if not _all_finite(m):
+    if not all_finite(m.ravel()):
         raise NumericError(f"{name} contains non-finite entries")
     return m
 
@@ -174,8 +172,8 @@ class SeededRng:
     algorithm = "philox4x64-10+box-muller"
 
     def __init__(self, seed: int):
-        if not (0 <= int(seed) < 2**64):
-            raise ParameterError("seed must fit in 64 unsigned bits")
+        if not (int(seed) == seed and 0 <= seed < 2**64):
+            raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
         self.seed = int(seed)
         self._round_keys = _philox_round_keys(_philox_key(self.seed))
         self._blocks = 0  # counters used so far

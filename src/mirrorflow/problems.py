@@ -35,7 +35,7 @@ from .mirror_maps import (
 )
 from .numerics import SeededRng, as_matrix, as_vector, random_gaussian_matrix, random_orthogonal_rows, random_psd
 from .projections import AffineSet, Box, HalfSpace, Sphere
-from .smoothing import SmoothedObjective, smooth_abs_grad, smoothed_l1_objective
+from .smoothing import L1Objective, smooth_abs_grad
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,35 @@ def quadratic_objective(q) -> SmoothObjective:
     return SmoothObjective(value, grad, lipschitz=2.0 * float(np.linalg.norm(q, 2)))
 
 
+class _Agents:
+    """What all three problem shapes share: one objective, one mirror map and
+    one block of the stacked x per agent; a centralized problem is one agent."""
+
+    @property
+    def n_agents(self) -> int:
+        return len(self.objectives)
+
+    @property
+    def is_smoothed(self) -> bool:
+        return isinstance(self.objectives[0], L1Objective)
+
+    @property
+    def kappa(self) -> float:  # the l1 surrogate's bound, 1/4 per entry
+        return self.dim / 4.0 if self.is_smoothed else 0.0
+
+    def f_exact(self, x) -> float:
+        return sum(o.exact(xi) for o, xi in zip(self.objectives, self.blocks(x)))
+
+    def f_smooth(self, x, mu: float) -> float:
+        return sum(o.value(xi, mu) for o, xi in zip(self.objectives, self.blocks(x)))
+
+    def set_violation(self, x) -> float:
+        return max(m.set_violation(xi) for m, xi in zip(self.mirrors, self.blocks(x)))
+
+
 @dataclass(frozen=True)
-class ConstrainedProblem:
-    objective: SmoothObjective | SmoothedObjective
+class ConstrainedProblem(_Agents):
+    objective: SmoothObjective | L1Objective
     a: np.ndarray
     b: np.ndarray
     mirror: MirrorMap
@@ -102,78 +128,39 @@ class ConstrainedProblem:
     def n_constraints(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def is_smoothed(self) -> bool:
-        return isinstance(self.objective, SmoothedObjective)
+    @cached_property
+    def objectives(self) -> tuple:
+        return (self.objective,)
 
-    @property
-    def kappa(self) -> float:
-        return self.objective.kappa if self.is_smoothed else 0.0
-
-    def f_exact(self, x) -> float:
-        return self.objective.exact(x)
-
-    def f_smooth(self, x, mu: float) -> float:
-        return self.objective.value(x, mu)
-
-    def set_violation(self, x) -> float:
-        return self.mirror.set_violation(x)
-
-    @property
-    def mirrors(self) -> tuple:  # a centralized problem is one agent
+    @cached_property
+    def mirrors(self) -> tuple:
         return (self.mirror,)
 
     def blocks(self, x) -> tuple:
         return (x,)
 
     def grad(self, x, mu: float | None = None) -> np.ndarray:
-        if self.is_smoothed:
+        if isinstance(self.objective, L1Objective):
             return self.objective.grad(x, mu)
         return self.objective.grad(x)
 
 
-class _AgentStack:
-    """What the two distributed problem shapes share: one objective and one
-    mirror map per agent of a connected graph, acting on the stacked x."""
+class _AgentStack(_Agents):
+    """What the two distributed problem shapes share: the agents of a
+    connected graph, acting on the stacked x."""
 
     def _check_agents(self):
         if len(self.objectives) != self.graph.n or len(self.mirrors) != self.graph.n:
             raise SizeError("need one objective and one mirror map per agent")
         if not is_connected(self.graph):
             raise ParameterError("communication graph must be connected")
-        if len({isinstance(o, SmoothedObjective) for o in self.objectives}) > 1:
+        if len({isinstance(o, L1Objective) for o in self.objectives}) > 1:
             raise ParameterError("agents must be all smooth or all smoothed")
-        # batched fast path when every agent holds a smoothed l1 norm
-        object.__setattr__(self, "_l1_stacked",
-                           all(getattr(o, "tag", "") == "l1" for o in self.objectives))
-
-    @property
-    def n_agents(self) -> int:
-        return self.graph.n
-
-    @property
-    def is_smoothed(self) -> bool:
-        return isinstance(self.objectives[0], SmoothedObjective)
-
-    @property
-    def kappa(self) -> float:
-        return sum(o.kappa for o in self.objectives) if self.is_smoothed else 0.0
-
-    def f_exact(self, x) -> float:
-        return sum(o.exact(xi) for o, xi in zip(self.objectives, self.blocks(x)))
-
-    def f_smooth(self, x, mu: float) -> float:
-        return sum(o.value(xi, mu) for o, xi in zip(self.objectives, self.blocks(x)))
 
     def grad_stacked(self, x, mu: float | None = None) -> np.ndarray:
-        smoothed = self.is_smoothed
-        if self._l1_stacked and smoothed:
+        if self.is_smoothed:  # the l1 surrogate acts entrywise, so one call serves every block
             return smooth_abs_grad(np.asarray(x, dtype=float), mu)
-        return np.concatenate([o.grad(xi, mu) if smoothed else o.grad(xi)
-                               for o, xi in zip(self.objectives, self.blocks(x))])
-
-    def set_violation(self, x) -> float:
-        return max(m.set_violation(xi) for m, xi in zip(self.mirrors, self.blocks(x)))
+        return np.concatenate([o.grad(xi) for o, xi in zip(self.objectives, self.blocks(x))])
 
 
 @dataclass(frozen=True)
@@ -375,7 +362,7 @@ def build_nbp(seed: int = 1) -> ConstrainedProblem:
     a = random_orthogonal_rows(rng, 10, 40)
     x0 = _planted_sparse(rng, 40, 2, signed=False)
     b = a @ x0
-    return ConstrainedProblem(smoothed_l1_objective(40), a, b, NegEntropyMap(40))
+    return ConstrainedProblem(L1Objective(), a, b, NegEntropyMap(40))
 
 
 def build_dbp_row(seed: int = 1) -> ConsensusProblem:
@@ -389,7 +376,7 @@ def build_dbp_row(seed: int = 1) -> ConsensusProblem:
     for i in range(5):
         rows = slice(2 * i, 2 * i + 2)
         mirrors.append(ProjectionMap(AffineSet(a_full[rows], b_full[rows])))
-    objectives = tuple(smoothed_l1_objective(60) for _ in range(5))
+    objectives = tuple(L1Objective() for _ in range(5))
     return ConsensusProblem(objectives, tuple(mirrors), ring(5), block_dim=60)
 
 
@@ -402,7 +389,7 @@ def build_dbp_col(seed: int = 1) -> MonotropicProblem:
     b = a_full @ x0
     a_blocks = tuple(a_full[:, 6 * i:6 * i + 6].copy() for i in range(10))
     d_blocks = tuple(b / 10.0 for _ in range(10))
-    objectives = tuple(smoothed_l1_objective(6) for _ in range(10))
+    objectives = tuple(L1Objective() for _ in range(10))
     mirrors = tuple(EuclideanMap(6) for _ in range(10))
     return MonotropicProblem(objectives, a_blocks, d_blocks, mirrors, ring(10), m=10)
 
@@ -466,7 +453,7 @@ def _spec_array(spec: dict, key: str, what: str, scalar: bool = False):
                              f"{spec[key]!r}") from None
 
 
-def _objective_from_spec(spec, dim: int):
+def _objective_from_spec(spec):
     what = "problem_spec objective"
     kind = _spec_object(spec, what).get("kind", "quadratic")
     if kind == "quadratic":
@@ -474,7 +461,7 @@ def _objective_from_spec(spec, dim: int):
     if kind == "logistic":
         return logistic_objective(_spec_array(spec, "w", what))
     if kind == "l1":
-        return smoothed_l1_objective(dim)
+        return L1Objective()
     raise ParameterError(f"unknown objective kind {kind!r}")
 
 
@@ -507,7 +494,7 @@ def problem_from_spec(spec: dict) -> ConstrainedProblem:
     a = as_matrix(_spec_array(spec, "a", "problem_spec"), "constraint matrix")
     b = as_vector(_spec_array(spec, "b", "problem_spec"), "right-hand side")
     mirror = _mirror_from_spec(spec.get("set", {}), a.shape[1])
-    objective = _objective_from_spec(spec.get("objective", {}), a.shape[1])
+    objective = _objective_from_spec(spec.get("objective", {}))
     return ConstrainedProblem(objective, a, b, mirror)
 
 

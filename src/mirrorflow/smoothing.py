@@ -1,5 +1,5 @@
-"""Smooth surrogates for max{0,s} and |s| and the smoothed l1 objective; the
-smoothed dynamics take mu(t) from ``SystemParams.mu_at``.
+"""Smooth surrogates for max{0,s} and |s| and the l1 objective that the
+smoothed dynamics minimize; they take mu(t) from ``SystemParams.mu_at``.
 
 Both scalar surrogates match the exact function outside a band of width
 proportional to mu and replace it by a quadratic inside, so
@@ -13,7 +13,6 @@ up under nonnegative combinations (n/4 for the l1 norm in R^n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -60,26 +59,20 @@ def smooth_abs_grad(s, mu: float):
 
 
 @dataclass(frozen=True)
-class SmoothedObjective:
-    """A nonsmooth convex f with a parameterized smooth surrogate.
+class L1Objective:
+    """The l1 norm, the one nonsmooth objective, with its surrogate.
 
-    ``value(x, mu)`` and ``grad(x, mu)`` evaluate the surrogate;
-    ``exact(x)`` evaluates f itself (used for reporting) and kappa bounds
-    the approximation error: |value(x, mu) - exact(x)| <= kappa * mu.
+    ``value(x, mu)`` and ``grad(x, mu)`` evaluate the surrogate, the sum of
+    ``smooth_abs`` over the entries; ``exact(x)`` evaluates the norm itself
+    (used for reporting), and 0 <= value(x, mu) - exact(x) <= len(x) / 4 * mu.
+    It holds no data: the problem's ``kappa`` is its dimension over 4.
     """
 
-    exact: Callable[[np.ndarray], float]
-    value: Callable[[np.ndarray, float], float]
-    grad: Callable[[np.ndarray, float], np.ndarray]
-    kappa: float
-    tag: str = ""
+    def exact(self, x) -> float:
+        return float(np.sum(np.abs(x)))
 
+    def value(self, x, mu: float) -> float:
+        return float(np.sum(smooth_abs(np.asarray(x, dtype=float), mu)))
 
-def smoothed_l1_objective(dim: int) -> SmoothedObjective:
-    return SmoothedObjective(
-        exact=lambda x: float(np.sum(np.abs(x))),
-        value=lambda x, mu: float(np.sum(smooth_abs(np.asarray(x, dtype=float), mu))),
-        grad=lambda x, mu: smooth_abs_grad(np.asarray(x, dtype=float), mu),
-        kappa=dim / 4.0,
-        tag="l1",
-    )
+    def grad(self, x, mu: float) -> np.ndarray:
+        return smooth_abs_grad(np.asarray(x, dtype=float), mu)

@@ -47,8 +47,8 @@ def test_run_writes_artifacts(tmp_path):
 
 def test_run_is_deterministic(tmp_path):
     outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
+    for run in ("a", "b"):
+        out = tmp_path / run
         assert main(["run", "--problem", "scalar", "--system", "apdmd",
                      "--alpha", "2", "--tf", "15", "--out", str(out)]) == 0
         outs.append((out / "trajectory.csv").read_bytes())
@@ -469,3 +469,45 @@ def test_malformed_config_is_usage_error(config, message, tmp_path, capsys):
     assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"system": ["apdmd"]}, "config 'system' must be a string, got ['apdmd']"),
+    ({"problem": ["scalar"]}, "config 'problem' must be a string, got ['scalar']"),
+    ({"out": 5}, "config 'out' must be a string, got 5"),
+    ({"seed": 1.5}, "config 'seed' must be a whole number, got 1.5"),
+    ({"seed": True}, "config 'seed' must be a whole number, got True"),
+    ({"seed": "3"}, "config 'seed' must be a whole number, got '3'"),
+    ({"max_steps": 1.5}, "config 'max_steps' must be a whole number, got 1.5"),
+    ({"max_steps": float("inf")}, "config 'max_steps' must be a whole number, got inf"),
+    ({"tf": [10.0]}, "config 'tf' must be a number, got [10.0]"),
+    ({"alpha": None}, "config 'alpha' must be a number or a comma-separated string, got None"),
+], ids=["system-list", "problem-list", "out-number", "seed-float", "seed-bool", "seed-string",
+        "max-steps-float", "max-steps-inf", "tf-list", "alpha-null"])
+def test_config_entry_of_the_wrong_type_is_usage_error(entry, message, tmp_path, monkeypatch,
+                                                       capsys):
+    # rejected before any output: exit 2, the message on stderr, and no --out
+    monkeypatch.chdir(tmp_path)  # where a numeric out would be created
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "scalar", "system": "apdmd", "tf": 10.0,
+                                "out": str(out), **entry}))
+    code = main(["run", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "5").exists()
+
+
+def test_whole_number_floats_are_taken_for_seed_and_max_steps(tmp_path):
+    # 3.0 is the seed 3, as SeededRng takes it, and 1e6 steps is an integer count
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": "d_sp", "system": "admd", "tf": 5.0,
+                                "seed": 3.0, "max_steps": 1e6, "out": str(tmp_path / "f")}))
+    assert main(["run", "--config", str(path)]) == 0
+    assert main(["run", "--problem", "d_sp", "--system", "admd", "--tf", "5", "--seed", "3",
+                 "--out", str(tmp_path / "i")]) == 0
+    assert json.loads((tmp_path / "f" / "summary.json").read_text())["seed"] == 3
+    assert (tmp_path / "f" / "trajectory.csv").read_bytes() \
+        == (tmp_path / "i" / "trajectory.csv").read_bytes()

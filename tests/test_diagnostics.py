@@ -45,7 +45,7 @@ def lyapunov_apdmd(t: float, state: dict, mirror, problem, ref, params) -> float
         mu = params.mu_at(t)
         core = problem.objective.value(x, mu) - problem.objective.value(ref.x_star, mu) \
             + ref.lam_star @ r + 0.5 * params.beta * (r @ r) \
-            + 4.0 * problem.objective.kappa * mu
+            + 4.0 * problem.kappa * mu
     else:
         core = lagrangian_gap(problem, x, ref, params.beta)
     return float((t**2 / params.alpha**2) * core

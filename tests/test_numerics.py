@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorflow import problems
-from mirrorflow.errors import ParameterError, SizeError
+from mirrorflow.errors import NumericError, ParameterError, SizeError
 from mirrorflow.graph import laplacian, ring
 from mirrorflow.numerics import (
     SeededRng,
+    as_matrix,
+    as_vector,
     kron,
     pseudoinverse,
     random_gaussian_matrix,
@@ -198,6 +202,26 @@ def test_catalogue_instances_equal_those_from_numpy_philox(name, seed, monkeypat
 def test_rng_seed_must_fit_in_64_bits(seed):
     with pytest.raises(ParameterError):
         SeededRng(seed)
+
+
+def test_rng_seed_must_be_an_integer():
+    # a fractional seed used to give the stream of its integer part
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        SeededRng(1.5)
+    assert SeededRng(np.uint64(3)).seed == SeededRng(3.0).seed == 3
+
+
+def test_huge_finite_entries_pass_validation_without_a_warning():
+    # a.a overflows beyond about 1e154; that must neither warn nor reject
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert as_vector(np.full(3, 1e200))[0] == 1e200
+        assert as_matrix(np.full((2, 3), -1e300))[1, 2] == -1e300
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NumericError):
+            as_vector([1e200, bad])
+        with pytest.raises(NumericError):
+            as_matrix([[1.0], [bad]])
 
 
 def test_random_psd_symmetric_and_nonnegative_spectrum():

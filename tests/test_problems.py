@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorflow import _oracle
 from mirrorflow._oracle import _block_projector, _l1_residual, _min_l1
 from mirrorflow.errors import NumericError, OracleError, ParameterError
+from mirrorflow.graph import ring
+from mirrorflow.mirror_maps import (
+    EuclideanMap,
+    NegEntropyMap,
+    ProjectionMap,
+    SimplexEntropyMap,
+)
+from mirrorflow.numerics import SeededRng, random_gaussian_matrix
 from mirrorflow.problems import (
     PROBLEMS,
+    ConsensusProblem,
     ConstrainedProblem,
+    MonotropicProblem,
     build_consensus_quadratic,
     build_dbp_col,
     build_dbp_row,
@@ -18,6 +30,8 @@ from mirrorflow.problems import (
     problem_from_spec,
     reference_solution,
 )
+from mirrorflow.projections import AffineSet, Box, HalfSpace, Sphere
+from mirrorflow.smoothing import L1Objective
 
 
 def test_logistic_centralized_data():
@@ -190,10 +204,7 @@ def test_consensus_quadratic_optimum():
 
 def test_mixed_smoothness_rejected():
     p = build_dis_logistic()
-    from mirrorflow.problems import ConsensusProblem
-    from mirrorflow.smoothing import smoothed_l1_objective
-
-    objs = (smoothed_l1_objective(4),) + p.objectives[1:]
+    objs = (L1Objective(),) + p.objectives[1:]
     with pytest.raises(ParameterError):
         ConsensusProblem(objs, p.mirrors, p.graph, 4)
 
@@ -306,3 +317,99 @@ def test_l1_oracle_rejects_a_set_it_does_not_model():
                            "set": {"kind": "box", "lo": [-3, -3], "hi": [3, 0.5]}})
     with pytest.raises(OracleError, match="'box'"):
         reference_solution(p, tol=1e-8)
+
+
+def test_demo_l1_oracle_rejects_a_set_it_does_not_model():
+    # the LP ignores the agents' sets; over boxes away from 0 it used to
+    # certify an x* with set violation 1.87
+    p = build_dbp_col(54)
+    boxes = tuple(ProjectionMap(Box(np.full(6, 0.5), np.full(6, 1.0))) for _ in p.mirrors)
+    q = MonotropicProblem(p.objectives, p.a_blocks, p.d_blocks, boxes, p.graph, p.m)
+    with pytest.raises(OracleError, match="'box'"):
+        reference_solution(q, tol=1e-8)
+
+
+def test_l1_grad_stacked_equals_the_per_block_gradients():
+    # unequal blocks: the one entrywise call must give the concatenation bit for bit
+    rng = SeededRng(5)
+    sizes = (2, 3, 5)
+    a_blocks = tuple(random_gaussian_matrix(rng, 2, p) for p in sizes)
+    p = MonotropicProblem(tuple(L1Objective() for n in sizes), a_blocks,
+                          tuple(np.zeros(2) for _ in sizes),
+                          tuple(EuclideanMap(n) for n in sizes), ring(3), m=2)
+    for mu in (1e-3, 0.4, 7.0):
+        x = np.concatenate([rng.normal(5), [0.5 * mu, -0.5 * mu, 0.0, -0.0, -np.inf]])
+        want = np.concatenate([o.grad(xi, mu) for o, xi in zip(p.objectives, p.blocks(x))])
+        assert p.grad_stacked(x, mu).tobytes() == want.tobytes()
+
+
+def test_constrained_problem_is_one_agent():
+    for p in (build_nbp(3), build_logistic_centralized()):
+        x = SeededRng(4).uniform(p.dim) + 0.1
+        assert p.n_agents == 1
+        assert p.objectives == (p.objective,) and p.mirrors == (p.mirror,)
+        assert p.f_exact(x) == p.objective.exact(x)
+        assert p.set_violation(x) == p.mirror.set_violation(x)
+    assert build_nbp(3).kappa == build_nbp(3).dim / 4 == 10.0
+    assert build_logistic_centralized().kappa == 0.0
+
+
+def test_kappa_is_a_quarter_of_the_l1_dimension():
+    # the l1 surrogate's bound is 1/4 per entry of the whole stacked x
+    for build, kappa in ((build_nbp, 10.0), (build_dbp_row, 75.0), (build_dbp_col, 15.0)):
+        p = build(54)
+        assert p.kappa == p.dim / 4 == kappa
+    assert build_dis_logistic().kappa == 0.0
+
+
+_SET_KINDS = ("affine", "box", "free", "halfspace", "orthant", "simplex", "sphere")
+
+
+def _set_holding(kind: str, rng: SeededRng, point: np.ndarray):
+    """A mirror map whose set is of the given kind and holds the point."""
+    n = point.size
+    if kind == "free":
+        return EuclideanMap(n)
+    if kind == "orthant":
+        return NegEntropyMap(n)
+    if kind == "simplex":
+        return SimplexEntropyMap(n)
+    if kind == "box":  # away from 0, where the unconstrained l1 optimum lies
+        return ProjectionMap(Box(0.5 * point, 2.0 * point))
+    if kind == "sphere":
+        shift = rng.normal(n)
+        return ProjectionMap(Sphere(point + shift, 0.5 + float(np.linalg.norm(shift))))
+    normal = rng.normal(n)
+    if kind == "halfspace":
+        return ProjectionMap(HalfSpace(normal, float(normal @ point) + 0.1))
+    return ProjectionMap(AffineSet(normal[None, :], [normal @ point]))
+
+
+def _l1_problem(shape: str, kind: str, seed: int, n: int = 4, k: int = 3):
+    """An l1 problem of the given shape whose k agents' sets are of the given
+    kind; every set holds the point 1/n, and so do the coupling constraints."""
+    rng = SeededRng(seed)
+    point = np.full(n, 1.0 / n)
+    maps = tuple(_set_holding(kind, rng, point) for _ in range(k))
+    if shape == "centralized":
+        a = random_gaussian_matrix(rng, 2, n)
+        return ConstrainedProblem(L1Objective(), a, a @ point, maps[0])
+    if shape == "consensus":
+        return ConsensusProblem(tuple(L1Objective() for _ in maps), maps, ring(k), n)
+    a_blocks = tuple(random_gaussian_matrix(rng, 2, n) for _ in maps)
+    d = sum(a_i @ point for a_i in a_blocks) / k
+    return MonotropicProblem(tuple(L1Objective() for _ in maps), a_blocks,
+                             tuple(d for _ in maps), maps, ring(k), m=2)
+
+
+@pytest.mark.parametrize("kind", _SET_KINDS)
+@pytest.mark.parametrize("shape", ["centralized", "consensus", "monotropic"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_l1_oracle_never_certifies_a_point_outside_the_sets(shape, kind, seed):
+    problem = _l1_problem(shape, kind, seed)
+    try:
+        ref = reference_solution(problem, tol=1e-8)
+    except OracleError:
+        return
+    assert problem.set_violation(ref.x_star) <= 1e-8

@@ -5,10 +5,10 @@ from mirrorflow.dynamics import SystemParams
 from mirrorflow.errors import ParameterError
 from mirrorflow.numerics import SeededRng
 from mirrorflow.smoothing import (
+    L1Objective,
     smooth_abs,
     smooth_abs_grad,
     smooth_max_zero,
-    smoothed_l1_objective,
 )
 
 
@@ -117,12 +117,26 @@ def test_convexity_midpoint():
 
 
 def test_smoothed_objective_kappa_bound():
-    obj = smoothed_l1_objective(6)
+    obj = L1Objective()
     rng = SeededRng(2)
     for _ in range(200):
         x = rng.normal(6)
         mu = float(rng.uniform() + 1e-3)
-        assert abs(obj.value(x, mu) - obj.exact(x)) <= obj.kappa * mu + 1e-12
+        assert abs(obj.value(x, mu) - obj.exact(x)) <= x.size / 4 * mu + 1e-12
+
+
+def test_l1_objective_is_the_summed_surrogate():
+    # value and grad give the bits of the entrywise surrogate
+    rng = SeededRng(3)
+    obj = L1Objective()
+    for dim in (1, 6, 60):
+        for mu in (1e-6, 0.3, 5.0):
+            x = 2.0 * rng.normal(dim)
+            x[0] = 0.5 * mu
+            assert obj.value(x, mu) == float(np.sum(smooth_abs(x, mu)))
+            assert obj.grad(x, mu).tobytes() == smooth_abs_grad(x, mu).tobytes()
+            assert obj.exact(x) == float(np.sum(np.abs(x)))
+            assert obj.exact(list(x)) == obj.exact(x)  # any array-like x
 
 
 def test_mu_schedule():
