@@ -84,13 +84,6 @@ class MirrorMap:
     def hessian_conjugate(self, u: np.ndarray) -> np.ndarray:
         raise UnsupportedOperationError(f"{self.kind} map has no conjugate Hessian")
 
-    def bregman_conjugate(self, u, u_ref) -> float:
-        """D_{psi*}(u, u_ref) = psi*(u) - psi*(u_ref) - grad psi*(u_ref).(u - u_ref)."""
-        u = self._check(u)
-        u_ref = self._check(u_ref, "reference dual point")
-        g = self.grad_conjugate(u_ref)
-        return float(self.conjugate(u) - self.conjugate(u_ref) - g @ (u - u_ref))
-
     # -- primal side --------------------------------------------------------
     def psi(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -187,7 +180,8 @@ class NegEntropyMap(MirrorMap):
         x = self.grad_conjugate(u)
         pos = x_star > 0
         val = np.sum(x) - np.sum(x_star)
-        val += np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos])))
+        with np.errstate(divide="ignore"):  # an x that underflowed to 0 gives +inf
+            val += np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos])))
         return float(val)
 
 
@@ -276,7 +270,8 @@ class SimplexEntropyMap(MirrorMap):
             raise DomainError("x* must be on the simplex")
         x = self.grad_conjugate(u)
         pos = x_star > 0
-        return float(np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos]))))
+        with np.errstate(divide="ignore"):  # an x that underflowed to 0 gives +inf
+            return float(np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos]))))
 
 
 class ProjectionMap(MirrorMap):

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mirrorflow.diagnostics import (
-    _integral_plateau,
+    _dissipation,
     _lyapunov_monotone,
     _positivity,
     _ratio_check,
@@ -203,6 +205,12 @@ def test_infinite_certificate_reported_with_warning():
                          1.05, warnings)
     assert (check.max_ratio, check.ok) == (2.0, False)
     assert len(warnings) == 1
+    # an infinite V(t0) skips the monotone check and makes the dissipation bound trivial
+    warnings, lyap = [], np.array([np.inf, 1.0, 0.5, 0.25])
+    assert _lyapunov_monotone(times, lyap, warnings).ok
+    assert _dissipation(times, lyap, gap, 3.0, 1.05, warnings).ok
+    assert warnings == ["lyapunov_monotone: energy is infinite, check skipped",
+                        "dissipation: certificate is infinite, bound holds trivially"]
 
 
 # (problem, system, alpha, beta, mu0, t_f, integrator rel_tol, abs_tol) for every
@@ -230,6 +238,7 @@ def test_standalone_lyapunov_functions_match_report():
         traj = integrate(field.rhs, field.initial_state, 1.0, tf,
                          IntegratorConfig(rel_tol=rel, abs_tol=abs_tol))
         rep = evaluate_run(field, traj, ref)
+        assert rep.check("dissipation").ok, system
         for i in (0, len(traj.times) // 2, -1):
             s = field.layout.split(traj.states[i])
             t = traj.times[i]
@@ -240,6 +249,47 @@ def test_standalone_lyapunov_functions_match_report():
             else:
                 val, tol = lyapunov_admd(t, s, problem, ref, params), 1e-8
             assert abs(val - rep.lyapunov[i]) <= tol * max(1.0, abs(val)), (system, i)
+
+
+def test_dissipation_adds_the_trapezoid_integral_by_hand():
+    times, lyap, core = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0.5, 0.25, 0.1]), np.ones(4)
+    # alpha 4: the integrand is t/8, so the running integral is 0.1875, 0.5, 0.9375
+    check = _dissipation(times, lyap, core, 4.0, 1.05, [])
+    assert abs(check.max_ratio - 1.0375) <= 1e-15 and check.ok
+    assert not _dissipation(times, lyap, core, 4.0, 1.0, []).ok
+    # alpha 2: V(t) <= V(t0), and t0 itself is not a sample of the maximum
+    assert _dissipation(times, lyap, core, 2.0, 1.05, []).max_ratio == 0.5
+
+
+def flipped_du_run(problem, system, alpha, tf):
+    """A run of the field with the sign of its du block flipped: a faulty flow."""
+    ref = reference_solution(problem, 1e-8)
+    field = build_field(system, problem, SystemParams(alpha=alpha))
+
+    def rhs(t, y):
+        dy = field.rhs(t, y).copy()
+        field.layout.split(dy)["u"] *= -1.0
+        return dy
+
+    return evaluate_run(field, integrate(rhs, field.initial_state, 1.0, tf), ref)
+
+
+def test_dissipation_catches_a_flipped_field_the_rate_check_misses():
+    rep = flipped_du_run(build_dist_qp(1), "admd", 3.0, 10.0)
+    assert rep.check("lagrangian_gap_rate").ok
+    assert not rep.check("dissipation").ok
+    assert rep.check("dissipation").max_ratio > 2.0
+
+
+def test_energy_that_diverges_from_a_finite_start_fails_without_numpy_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = flipped_du_run(build_logistic_centralized(), "apdmd", 3.0, 20.0)
+    assert np.isfinite(rep.v0) and np.isposinf(rep.lyapunov[-1])
+    first_inf = rep.times[np.argmax(np.isposinf(rep.lyapunov))]
+    for name in ("lyapunov_monotone", "dissipation"):
+        check = rep.check(name)
+        assert not check.ok and check.note.endswith(f"at t = {first_inf:.6g}")
 
 
 def test_second_order_field_has_no_diagnostics():
@@ -281,6 +331,7 @@ def test_clamp_flag_of_an_earlier_run_does_not_warn():
 _TIMES = np.array([1.0, 2.0, 3.0, 4.0])
 _ONE_NAN = np.array([1.0, 0.5, np.nan, 0.25])
 _NAN_AT_3 = "NaN or -inf at t = 3"
+_NOT_FINITE_AT = "not finite at t = "
 
 
 @pytest.mark.parametrize("check, note", [
@@ -291,26 +342,26 @@ _NAN_AT_3 = "NaN or -inf at t = 3"
     (lambda s: _ratio_check("r", _TIMES, np.zeros(4), np.where(np.isnan(s), -np.inf, 1.0),
                             1.05, []), _NAN_AT_3),
     (lambda s: _lyapunov_monotone(_TIMES, s, []), _NAN_AT_3),
-    (lambda s: _lyapunov_monotone(_TIMES, np.where(np.isnan(s), np.inf, s), []), None),
+    (lambda s: _lyapunov_monotone(_TIMES, np.array([np.inf, 1.0, 0.5, 0.25]), []), None),
+    (lambda s: _lyapunov_monotone(_TIMES, np.where(np.isnan(s), np.inf, s), []),
+     _NOT_FINITE_AT + "3"),
     (lambda s: _positivity("p", _TIMES, s), _NAN_AT_3),
     (lambda s: _positivity("p", _TIMES, np.full(4, np.nan)), "NaN or -inf at t = 1"),
-    (lambda s: _integral_plateau(_TIMES, s, "i", True), _NAN_AT_3),
-    (lambda s: _integral_plateau(_TIMES, s, "i", False), _NAN_AT_3),
-    (lambda s: _integral_plateau(_TIMES, np.array([1.0, np.inf, 1.0, 1.0]), "i", True),
-     "running integral is not finite at t = 2"),
-    (lambda s: _integral_plateau(_TIMES, np.array([1.0, np.inf, 1.0, 1.0]), "i", False),
-     "running integral is not finite at t = 2"),
-    (lambda s: _integral_plateau(_TIMES, np.array([1.0, 1e308, 1e308, 1.0]), "i", True),
-     "running integral is not finite at t = 3"),
-    (lambda s: _integral_plateau(_TIMES, np.array([1.0, 1e308, 1e308, 1.0]), "i", False),
-     "running integral is not finite at t = 3"),
+    (lambda s: _dissipation(_TIMES, np.ones(4), s, 3.0, 1.05, []), _NAN_AT_3),
+    (lambda s: _dissipation(_TIMES, s, np.ones(4), 3.0, 1.05, []), _NAN_AT_3),
+    (lambda s: _dissipation(_TIMES, np.where(np.isnan(s), np.inf, s), np.ones(4), 3.0, 1.05, []),
+     _NOT_FINITE_AT + "3"),
+    # every rate sample is finite; the trapezoid over [2, 10] overflows
+    (lambda s: _dissipation(np.array([1.0, 2.0, 10.0, 11.0]), np.ones(4),
+                            np.array([1.0, 1e308, 1e308, 1.0]), 3.0, 1.05, []),
+     _NOT_FINITE_AT + "10"),
 ], ids=["ratio-quantity", "ratio-bound", "ratio-all-nan-bound", "ratio-neg-inf-bound",
-        "lyapunov", "lyapunov-pos-inf-passes", "positivity", "positivity-all-nan",
-        "plateau", "plateau-informational", "plateau-pos-inf", "plateau-informational-pos-inf",
-        "plateau-overflow", "plateau-informational-overflow"])
+        "lyapunov", "lyapunov-pos-inf-passes", "lyapunov-late-pos-inf",
+        "positivity", "positivity-all-nan", "dissipation-nan-core", "dissipation-nan-lyap",
+        "dissipation-pos-inf", "dissipation-overflow"])
 def test_checks_fail_on_nan_and_name_the_first_bad_sample(check, note):
     result = check(_ONE_NAN.copy())
-    if note is None:  # +inf is the infinite certificate: it passes trivially
+    if note is None:  # +inf at t0 is the infinite certificate: it passes trivially
         assert result.ok
         return
     assert not result.ok
