@@ -6,7 +6,7 @@ the t^-2 convergence certificates numerically, and reproduces a catalogue
 of centralized and distributed experiments at desk scale.
 """
 
-from .diagnostics import BoundCheck, RunReport, evaluate_run, lagrangian_gap, rate_fit
+from .diagnostics import BoundCheck, RunReport, evaluate_run, rate_fit
 from .dynamics import SYSTEMS, SystemParams, VectorField, apdmd_second_order_field, build_field
 from .graph import LiftedLaplacian, UndirectedGraph, consensus_residual, laplacian, lift, ring
 from .integrator import IntegratorConfig, Trajectory, geometric_grid, integrate

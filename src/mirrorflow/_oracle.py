@@ -29,12 +29,12 @@ _MAX_OUTER = 400
 _MAX_INNER = 4000
 
 
-def _fista(grad, lip, proj, x0, inner_tol, max_iter=_MAX_INNER):
+def _fista(grad, lip, proj, x0, inner_tol):
     step = 1.0 / max(lip, 1e-12)
     x = proj(x0)
     y = x.copy()
     tk = 1.0
-    for it in range(max_iter):
+    for it in range(_MAX_INNER):
         x_new = proj(y - step * grad(y))
         if (y - x_new) @ (x_new - x) > 0:  # restart on non-monotone momentum
             tk = 1.0
@@ -85,10 +85,9 @@ def _alm(grad_f, lip_f, proj, a, b, tol, x0):
 # --------------------------------------------------------------------------
 
 def solve_constrained_smooth(problem: ConstrainedProblem, tol: float) -> ReferenceSolution:
-    proj = problem.mirror.projector.project
-    obj = problem.objective
-    lip = obj.lipschitz if obj.lipschitz is not None else 1.0
-    x, lam, kkt = _alm(obj.grad, lip, proj, problem.a, problem.b, tol, np.zeros(problem.dim))
+    obj, proj = problem.objective, problem.mirror.projector.project
+    x, lam, kkt = _alm(obj.grad, obj.lipschitz, proj, problem.a, problem.b, tol,
+                       np.zeros(problem.dim))
     return ReferenceSolution(x, lam, problem.f_exact(x), kkt, method="alm-fista")
 
 
@@ -108,7 +107,7 @@ def _block_projector(problem):
 
 def solve_consensus_smooth(problem: ConsensusProblem, tol: float) -> ReferenceSolution:
     proj = _block_projector(problem)
-    lip = max((o.lipschitz or 1.0) for o in problem.objectives)
+    lip = max(o.lipschitz for o in problem.objectives)
     lap = problem.lifted.matrix
     x, lam, kkt = _alm(lambda z: problem.grad_stacked(z), lip, proj,
                        lap, np.zeros(problem.dim), tol, np.zeros(problem.dim))
@@ -129,7 +128,7 @@ def solve_demo_smooth(problem: MonotropicProblem, tol: float) -> ReferenceSoluti
     def grad(z):
         return np.concatenate([problem.grad_stacked(z[:nx]), np.zeros(ny)])
 
-    lip = max((o.lipschitz or 1.0) for o in problem.objectives)
+    lip = max(o.lipschitz for o in problem.objectives)
     z, lam, kkt = _alm(grad, lip, proj, a, d, tol, np.zeros(nx + ny))
     x, y = z[:nx], z[nx:]
     return ReferenceSolution(x, lam, problem.f_exact(x), kkt, method="alm-fista", y_star=y)

@@ -62,10 +62,10 @@ class _Checker:
         self.ok = self.ok and bool(condition)
 
 
-def _run(problem, system, alpha, beta, tf, mu0=None, rel=1e-6, abs_tol=1e-8):
+def _run(problem, system, alpha, beta, tf, mu0=None, **tolerances):
     fld = build_field(system, problem, SystemParams(alpha=alpha, beta=beta, mu0=mu0))
-    cfg = IntegratorConfig(rel_tol=rel, abs_tol=abs_tol, max_steps=3_000_000)
-    return fld, integrate(fld.rhs, fld.initial_state, 1.0, tf, cfg)
+    cfg = IntegratorConfig(**tolerances)
+    return fld, integrate(fld.rhs, fld.initial_state, fld.params.t0, tf, cfg)
 
 
 def criterion_1() -> CriterionResult:
@@ -323,7 +323,7 @@ def criterion_7() -> CriterionResult:
     problem = build_dbp_row(seed=1)
     ref = reference_solution(problem, 1e-8)
     fld, traj = _run(problem, "sadpdmd", alpha=3.0, beta=1.0, tf=70.0, mu0=10.0,
-                     rel=1e-4, abs_tol=1e-6)
+                     rel_tol=1e-4, abs_tol=1e-6)
     rep = evaluate_run(fld, traj, ref)
     cons = rep.check("consensus_rate")
     c.expect(cons.ok, f"row: x.Lx within 1.05 * 2 a^2 V0/(b t^2) (max ratio {cons.max_ratio:.4f})")
@@ -339,7 +339,7 @@ def criterion_7() -> CriterionResult:
     problem = build_dbp_col(seed=54)
     ref = reference_solution(problem, 1e-8)
     fld, traj = _run(problem, "sadmd", alpha=3.0, beta=1.0, tf=86.0, mu0=1000.0,
-                     rel=1e-4, abs_tol=1e-6)
+                     rel_tol=1e-4, abs_tol=1e-6)
     rep = evaluate_run(fld, traj, ref)
     mult = rep.check("multiplier_consensus_rate")
     c.expect(mult.ok, f"col: lam.L lam within 1.05 * 2 a^2 E0/t^2 (max ratio {mult.max_ratio:.4f})")
@@ -444,13 +444,13 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
                 criterion_6, criterion_7, criterion_8, criterion_9, negative_control]
 
 
-def run_acceptance(verbose: bool = False) -> list:
+def run_acceptance() -> list:
+    """Run every criterion, printing each one's line and details as it finishes."""
     results = []
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)
-        if verbose:
-            print(res.line())
-            for line in res.details:
-                print(line)
+        print(res.line())
+        for line in res.details:
+            print(line)
     return results

@@ -31,6 +31,7 @@ from . import acceptance
 from .dynamics import SYSTEMS, SystemParams, build_field, check_params, mismatch
 from .errors import MirrorflowError, ParameterError, UsageError
 from .integrator import IntegratorConfig, integrate
+from .numerics import SeededRng
 from .problems import PROBLEMS, problem_from_spec, reference_solution
 from .diagnostics import evaluate_run
 
@@ -40,8 +41,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="integrate one experiment and write artifacts")
-    # no flag has a default: a flag overrides the config file, which overrides
-    # the defaults stated once in _validate and _settings
+    # no flag has a default: a flag overrides the config file, which overrides the defaults,
+    # each stated once: on SystemParams and IntegratorConfig, or in _validate and _settings
     run.add_argument("--problem", help="catalogue name; omit when --config carries problem_spec")
     run.add_argument("--system", choices=sorted(SYSTEMS), help="flow to integrate, here or in --config")
     run.add_argument("--alpha", help="value or comma-separated sweep, e.g. 2,4,6")
@@ -96,8 +97,8 @@ def _load_config(args) -> dict:
 
 
 def _validate(cfg: dict) -> tuple:
-    """Build the problem and each alpha's settings, and check that the system
-    accepts them, before any output is written; returns (problem, [settings])."""
+    """Build the problem and each alpha's settings, check them and settle cfg's seed,
+    before any output is written; returns (problem, [settings])."""
     name = cfg.get("problem")
     if "problem_spec" not in cfg and not name:
         raise UsageError("no problem given: use --problem or a config problem_spec")
@@ -105,8 +106,10 @@ def _validate(cfg: dict) -> tuple:
         raise UsageError(
             f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}")
     try:  # a ParameterError is a ValueError, as is a value that is not a number
+        # SeededRng's range check, for a problem that draws no numbers too
+        cfg["seed"] = SeededRng(cfg.get("seed", 1)).seed
         problem = problem_from_spec(cfg["problem_spec"]) if "problem_spec" in cfg \
-            else PROBLEMS[name](cfg.get("seed", 1))
+            else PROBLEMS[name](cfg["seed"])
         if reason := mismatch(cfg["system"], problem):
             raise ParameterError(reason)
         alphas = [float(a) for a in str(cfg.get("alpha", "2")).split(",") if a.strip()]
@@ -122,17 +125,18 @@ def _validate(cfg: dict) -> tuple:
 
 
 def _settings(cfg: dict, alpha: float):
-    """One job's SystemParams (mu0 for a smoothed system), IntegratorConfig and
-    final time; raises ParameterError on a value the system does not take."""
-    system, t0, tf = cfg["system"], float(cfg.get("t0", 1.0)), float(cfg.get("tf", 100.0))
+    """One job's SystemParams, IntegratorConfig (a key the config lacks keeps its dataclass
+    default) and final time; raises ParameterError on a value the system does not take."""
+    def given(cast, *keys):
+        return {key: cast(cfg[key]) for key in keys if key in cfg}
+
+    system, tf = cfg["system"], float(cfg.get("tf", 100.0))
     mu0 = float(cfg.get("mu0", 0.1)) if SYSTEMS[system].smoothed else None
-    params = SystemParams(alpha=alpha, beta=float(cfg.get("beta", 1.0)), t0=t0, mu0=mu0)
+    params = SystemParams(alpha=alpha, mu0=mu0, **given(float, "beta", "t0"))
     check_params(system, params)
-    if not t0 < tf < math.inf:
-        raise ParameterError(f"need a finite tf > t0, got [{t0}, {tf}]")
-    icfg = IntegratorConfig(rel_tol=float(cfg.get("rel_tol", 1e-6)),
-                            abs_tol=float(cfg.get("abs_tol", 1e-8)),
-                            max_steps=int(cfg.get("max_steps", 3_000_000)))
+    if not params.t0 < tf < math.inf:
+        raise ParameterError(f"need a finite tf > t0, got [{params.t0}, {tf}]")
+    icfg = IntegratorConfig(**given(float, "rel_tol", "abs_tol"), **given(int, "max_steps"))
     return params, icfg, tf
 
 
@@ -155,7 +159,7 @@ def run_single(cfg: dict, problem, ref, settings, out_dir: Path) -> dict:
         "t0": params.t0,
         "tf": tf,
         "mu0": params.mu0,
-        "seed": int(cfg.get("seed", 1)),
+        "seed": cfg["seed"],
         "f_star": ref.f_star,
         "v0": report.v0,
         "slope_gap": report.slope_gap,
@@ -169,10 +173,19 @@ def run_single(cfg: dict, problem, ref, settings, out_dir: Path) -> dict:
                        "rel_tol": icfg.rel_tol, "abs_tol": icfg.abs_tol},
         "runtime_seconds": round(time.perf_counter() - started, 3),
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, allow_nan=True)
+    (out_dir / "summary.json").write_text(_strict_json(summary))
     _write_plot_script(out_dir / "plot.gp", cfg["problem"], cfg["system"], params.alpha)
     return summary
+
+
+def _strict_json(summary: dict) -> str:
+    """summary as RFC 8259 JSON, which has no NaN or infinity: such a float is null."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {key: finite(item) for key, item in v.items()}
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    return json.dumps(finite(summary), indent=2, allow_nan=False)
 
 
 _CSV_COLUMNS = ("t", "gap", "lagrangian_gap", "feasibility", "lyapunov", "mu",
@@ -218,12 +231,15 @@ def cmd_run(args) -> int:
     for key in ("system", "out"):
         if not cfg.get(key):
             raise UsageError(f"no {key} given: use --{key} or a config {key!r} entry")
-    problem, jobs = _validate(cfg)
-    ref = reference_solution(problem, tol=1e-8)
     out_root = Path(cfg["out"])
+    existing = next(p for p in (out_root, *out_root.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"--out {out_root}: {existing} exists and is not a directory")
+    problem, jobs = _validate(cfg)
+    ref = reference_solution(problem)
     if len(jobs) == 1:
         summary = run_single(cfg, problem, ref, jobs[0], out_root)
-        print(json.dumps(summary, indent=2))
+        print(_strict_json(summary))
         return 0
     failures = 0
     for settings in jobs:
@@ -241,7 +257,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(_args) -> int:
-    results = acceptance.run_acceptance(verbose=True)
+    results = acceptance.run_acceptance()
     failed = [r for r in results if not r.passed]
     print()
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

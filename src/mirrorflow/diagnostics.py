@@ -11,10 +11,10 @@ NeurIPS 2015); at alpha = 2 that is V(t) <= V(t0). It replaced two checks that
 the last decade of t add at most 5% to an integral: no theorem states those,
 and they failed on correct runs. A per-family descriptor (``_Family``, keyed by the
 system's problem class) supplies what differs: the residual rho (Ax - b, L x,
-or Abar x - d - L y*) and its penalty, the feasibility measure and its check's
-name and constant (2 alpha^2 V0/(beta t^2), or 2 alpha^2 V0/t^2 for the
-monotropic flows), the extra energy term ||z - y*||^2 / 2 of the monotropic
-flows, and the window and lower checks. ``evaluate_run`` walks the samples
+or Abar x - d - L y*) and its penalty, the feasibility measure (bounded by
+2 alpha^2 V0/(beta t^2), with beta = 1 on the monotropic flows) and its check's
+name, the extra energy term ||z - y*||^2 / 2 of the monotropic flows, and the
+window and lower checks. ``evaluate_run`` walks the samples
 once. The centralized lower checks follow from the saddle inequality
 f - f* >= -lam*.r >= -||lam*|| ||r|| and the feasibility bound
 ||r|| <= alpha sqrt(2 V0/beta) / t. A bound against an infinite V(t0) (an
@@ -103,14 +103,6 @@ def _safe_rate_fit(times, values) -> float:
         return float("nan")
 
 
-def lagrangian_gap(problem: ConstrainedProblem, x, ref: ReferenceSolution, beta: float) -> float:
-    """Two-sided augmented-Lagrangian gap at the reference multiplier,
-    f(x) - f* + lam*.(Ax - b) + (beta/2) ||Ax - b||^2. Nonnegative up to the
-    oracle tolerance."""
-    r = problem.a @ x - problem.b
-    return float(problem.f_exact(x) - ref.f_star + ref.lam_star @ r + 0.5 * beta * (r @ r))
-
-
 def _invalid(name, times, *series, finite=False) -> BoundCheck | None:
     """A failing check naming the first sample where a series is NaN or -inf (any
     non-finite value with finite=True)."""
@@ -181,7 +173,6 @@ class _Family:
     sample: Callable
     feasibility: str     # name of the feasibility rate check
     squared: bool        # it bounds feasibility**2 (a norm), else feasibility
-    over_beta: bool      # its constant is 2 a^2 V0 / (beta t^2), else 2 a^2 V0 / t^2
     # lower checks: from the saddle inequality ("saddle") or from the window's
     # V0 ("window"); None drops them and the objective_window check
     lower: str | None = None
@@ -223,9 +214,9 @@ def _demo_reference(problem, ref) -> list:
     return []
 
 
-_CENTRAL = _Family(_central, "feasibility_rate", True, True, "saddle")
-_CONSENSUS = _Family(_consensus, "consensus_rate", False, True, "window")
-_DEMO = _Family(_demo, "multiplier_consensus_rate", False, False, reference=_demo_reference)
+_CENTRAL = _Family(_central, "feasibility_rate", True, "saddle")
+_CONSENSUS = _Family(_consensus, "consensus_rate", False, "window")
+_DEMO = _Family(_demo, "multiplier_consensus_rate", False, reference=_demo_reference)
 _FAMILIES = {ConstrainedProblem: _CENTRAL, ConsensusProblem: _CONSENSUS, MonotropicProblem: _DEMO}
 
 
@@ -272,8 +263,8 @@ def evaluate_run(fieldspec: VectorField, traj: Trajectory, ref: ReferenceSolutio
 
     v0 = float(lyap[0])
     core = lag_gap + 4.0 * kappa * mu
-    feas_bound = 2.0 * alpha**2 * v0 / (beta * times**2) if fam.over_beta \
-        else 2.0 * alpha**2 * v0 / times**2
+    # a monotropic flow has beta = 1 (check_params), and 1.0 * t^2 is t^2 exactly
+    feas_bound = 2.0 * alpha**2 * v0 / (beta * times**2)
     checks = [
         _ratio_check("lagrangian_gap_rate", times, core, alpha**2 * v0 / times**2, slack, warnings),
         _ratio_check(fam.feasibility, times, feas**2 if fam.squared else feas, feas_bound,

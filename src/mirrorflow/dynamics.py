@@ -87,7 +87,7 @@ class VectorField:
     layout: StateLayout
     problem: object
     params: SystemParams
-    initial_state: np.ndarray = field(repr=False, default=None)
+    initial_state: np.ndarray = field(repr=False)
 
 
 def _check_time(t: float):

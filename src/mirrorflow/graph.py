@@ -98,10 +98,9 @@ def lift(g: UndirectedGraph, m: int) -> LiftedLaplacian:
     return LiftedLaplacian(l_n=l_n, m=int(m), matrix=kron(l_n, np.eye(m)))
 
 
-def consensus_residual(lap, x) -> float:
+def consensus_residual(lap: LiftedLaplacian, x) -> float:
     """x^T L x; zero exactly when all agent blocks agree."""
-    mat = lap.matrix if isinstance(lap, LiftedLaplacian) else np.asarray(lap, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != mat.shape[0]:
-        raise SizeError(f"state has dim {x.shape[0]}, Laplacian is {mat.shape[0]}x{mat.shape[1]}")
-    return float(x @ (mat @ x))
+    if x.shape[0] != lap.dim:
+        raise SizeError(f"state has dim {x.shape[0]}, Laplacian is {lap.dim}x{lap.dim}")
+    return float(x @ (lap.matrix @ x))

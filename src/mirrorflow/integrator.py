@@ -45,6 +45,7 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _MIN_STEP = 1e-12  # a step below this aborts the integration
+_POINTS_PER_DECADE = 40  # of the default sample grid
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class IntegratorConfig:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-8
     initial_step: float | None = None
-    max_steps: int = 1_000_000
+    max_steps: int = 3_000_000
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
@@ -70,12 +71,12 @@ class Trajectory:
     warnings: list = field(default_factory=list)
 
 
-def geometric_grid(t0: float, tf: float, points_per_decade: int = 40) -> np.ndarray:
-    """Log-uniform grid over [t0, tf] with both endpoints included."""
+def geometric_grid(t0: float, tf: float) -> np.ndarray:
+    """Log-uniform grid over [t0, tf], 40 points per decade, with both endpoints included."""
     if not (tf > t0 > 0):
         raise ParameterError("geometric grid needs tf > t0 > 0")
     decades = np.log10(tf / t0)
-    count = max(2, int(np.ceil(decades * points_per_decade)) + 1)
+    count = max(2, int(np.ceil(decades * _POINTS_PER_DECADE)) + 1)
     grid = np.geomspace(t0, tf, count)
     grid[0], grid[-1] = t0, tf
     return grid

@@ -19,7 +19,7 @@ from .errors import NumericError, ParameterError, SizeError
 # desk scale and would silently eat memory.
 _MAX_KRON_ENTRIES = 50_000_000
 
-DEFAULT_RANK_TOL = 1e-12
+_RANK_TOL = 1e-12  # relative to the largest, a smaller singular value counts as zero
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -57,11 +57,11 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def pseudoinverse(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse.
 
     Uses the closed form A^T (A A^T)^-1 when A has full row rank, otherwise
-    an SVD construction where singular values below ``tol * sigma_max`` are
+    an SVD construction where singular values below ``_RANK_TOL * sigma_max`` are
     treated as zero.
     """
     a = as_matrix(a, "pseudoinverse input")
@@ -70,10 +70,10 @@ def pseudoinverse(a, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.zeros((cols, rows))
-    if rows <= cols and s[-1] > tol * smax:
+    if rows <= cols and s[-1] > _RANK_TOL * smax:
         # full row rank shortcut
         return np.linalg.solve(a @ a.T, a).T
-    keep = s > tol * smax
+    keep = s > _RANK_TOL * smax
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return (vt.T * s_inv) @ u.T
 
@@ -169,8 +169,6 @@ class SeededRng:
     Box-Muller transform.
     """
 
-    algorithm = "philox4x64-10+box-muller"
-
     def __init__(self, seed: int):
         if not (int(seed) == seed and 0 <= seed < 2**64):
             raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
@@ -212,10 +210,6 @@ class SeededRng:
         """Integers in [low, high) derived from the uniform stream."""
         u = self.uniform(size)
         return (low + np.floor(u * (high - low))).astype(int)
-
-
-def random_gaussian_matrix(rng: SeededRng, rows: int, cols: int) -> np.ndarray:
-    return rng.normal(rows, cols)
 
 
 def random_psd(rng: SeededRng, n: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from .mirror_maps import (
     ProjectionMap,
     SimplexEntropyMap,
 )
-from .numerics import SeededRng, as_matrix, as_vector, random_gaussian_matrix, random_orthogonal_rows, random_psd
+from .numerics import SeededRng, as_matrix, as_vector, random_orthogonal_rows, random_psd
 from .projections import AffineSet, Box, HalfSpace, Sphere
 from .smoothing import L1Objective, smooth_abs_grad
 
@@ -44,7 +44,7 @@ class SmoothObjective:
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float | None = None  # gradient Lipschitz bound when known
+    lipschitz: float  # a Lipschitz bound of grad, which the reference oracle's step needs
 
     def exact(self, x) -> float:
         return self.value(x)
@@ -369,7 +369,7 @@ def build_dbp_row(seed: int = 1) -> ConsensusProblem:
     """Row-partitioned l1 recovery: 5 agents each holding 2 of 10 Gaussian
     measurements of a 2-sparse signal in R^60; affine-projection maps."""
     rng = SeededRng(seed)
-    a_full = random_gaussian_matrix(rng, 10, 60) / np.sqrt(10.0)
+    a_full = rng.normal(10, 60) / np.sqrt(10.0)
     x0 = _planted_sparse(rng, 60, 2, signed=True)
     b_full = a_full @ x0
     mirrors = []
@@ -384,7 +384,7 @@ def build_dbp_col(seed: int = 1) -> MonotropicProblem:
     """Column-partitioned l1 recovery: a 10x60 Gaussian system split into 10
     agents of 6 columns each, coupled through the shared measurement budget."""
     rng = SeededRng(seed)
-    a_full = random_gaussian_matrix(rng, 10, 60) / np.sqrt(10.0)
+    a_full = rng.normal(10, 60) / np.sqrt(10.0)
     x0 = _planted_sparse(rng, 60, 2, signed=True)
     b = a_full @ x0
     a_blocks = tuple(a_full[:, 6 * i:6 * i + 6].copy() for i in range(10))

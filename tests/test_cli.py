@@ -11,6 +11,7 @@ import mirrorflow
 from mirrorflow import cli
 from mirrorflow.cli import _validate, main
 from mirrorflow.dynamics import SYSTEMS, SystemParams, build_field
+from mirrorflow.integrator import IntegratorConfig
 from mirrorflow.errors import ParameterError, UsageError
 from mirrorflow.problems import PROBLEMS, reference_solution
 
@@ -144,6 +145,40 @@ def test_l1_spec_over_a_box_fails_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_below_a_file_is_usage_error_before_any_computation(out, tmp_path, monkeypatch,
+                                                                 capsys):
+    (tmp_path / "taken").write_text("a file")
+
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("reference solved before --out was checked")
+
+    monkeypatch.setattr(cli, "reference_solution", no_solve)
+    code = main(["run", "--problem", "scalar", "--system", "apdmd",
+                 "--out", str(tmp_path / out)])
+    assert code == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "a file"
+
+
+def test_summary_is_strict_json(tmp_path, capsys):
+    # too few samples for the slope fits, which are NaN: JSON has no NaN
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = tmp_path / "short"
+    assert main(["run", "--problem", "scalar", "--system", "apdmd", "--tf", "1.3",
+                 "--out", str(out)]) == 0
+    for text in ((out / "summary.json").read_text(), capsys.readouterr().out):
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["slope_gap"] is None and summary["slope_feasibility"] is None
+
+
+def test_settings_leave_each_default_to_its_dataclass():
+    assert cli._settings({"system": "apdmd"}, 2.0) == \
+        (SystemParams(alpha=2.0), IntegratorConfig(), 100.0)
+
+
 def test_inline_problem_spec(tmp_path):
     cfg = tmp_path / "custom.json"
     cfg.write_text(json.dumps({
@@ -234,9 +269,11 @@ def test_validate_accepts_exactly_the_compatible_pairs(problem, system, tmp_path
     ("scalar", "apdmd", ["--rel-tol", "inf"]),
     ("nbp", "sapdmd", ["--beta", "10", "--mu0", "inf"]),
     ("d_sp", "admd", ["--seed", "-1"]),
+    ("scalar", "apdmd", ["--seed", "-1"]),
 ], ids=["admd-beta", "sadmd-mu0", "alpha", "alpha-sweep", "tf-before-t0", "rel-tol",
         "alpha-not-a-number", "no-alpha", "alpha-repeated", "alpha-same-directory", "tf-inf",
-        "alpha-inf", "beta-inf", "rel-tol-inf", "sapdmd-mu0-inf", "seed-negative"])
+        "alpha-inf", "beta-inf", "rel-tol-inf", "sapdmd-mu0-inf", "seed-negative",
+        "seed-negative-seedless"])
 def test_bad_run_parameters_are_usage_errors(problem, system, flags, tmp_path, capsys):
     # rejected before any job runs: exit 2, nothing on stdout and no output directory
     out = tmp_path / "x"
@@ -328,9 +365,9 @@ def test_sweep_builds_the_problem_and_solves_the_reference_once(tmp_path, monkey
         calls["build"] += 1
         return build(seed)
 
-    def counting_solve(problem, tol):
+    def counting_solve(problem, **kwargs):
         calls["reference"] += 1
-        return solve(problem, tol=tol)
+        return solve(problem, **kwargs)
 
     monkeypatch.setitem(PROBLEMS, "scalar", counting_build)
     monkeypatch.setattr(cli, "reference_solution", counting_solve)

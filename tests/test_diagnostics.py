@@ -9,7 +9,6 @@ from mirrorflow.diagnostics import (
     _positivity,
     _ratio_check,
     evaluate_run,
-    lagrangian_gap,
     rate_fit,
 )
 from mirrorflow.dynamics import SystemParams, apdmd_second_order_field, build_field
@@ -26,6 +25,14 @@ from mirrorflow.problems import (
     problem_from_spec,
     reference_solution,
 )
+
+
+def lagrangian_gap(problem, x, ref, beta: float) -> float:
+    """Two-sided augmented-Lagrangian gap at the reference multiplier,
+    f(x) - f* + lam*.(Ax - b) + (beta/2) ||Ax - b||^2. Nonnegative up to the
+    oracle tolerance."""
+    r = problem.a @ x - problem.b
+    return float(problem.f_exact(x) - ref.f_star + ref.lam_star @ r + 0.5 * beta * (r @ r))
 
 
 # Per-sample energies written out from the formulas, independently of the

@@ -63,7 +63,7 @@ def test_interpolation_matches_direct_integration():
 
 
 def test_geometric_grid():
-    grid = geometric_grid(1.0, 100.0, 40)
+    grid = geometric_grid(1.0, 100.0)  # 40 points per decade
     assert grid[0] == 1.0 and grid[-1] == 100.0
     assert grid.size == 81
     ratios = grid[1:] / grid[:-1]

@@ -14,7 +14,6 @@ from mirrorflow.numerics import (
     as_vector,
     kron,
     pseudoinverse,
-    random_gaussian_matrix,
     random_orthogonal_rows,
     random_psd,
 )
@@ -238,8 +237,8 @@ def test_random_orthogonal_rows():
     assert np.array_equal(g, g2)
 
 
-def test_random_gaussian_matrix_shape_and_determinism():
-    m1 = random_gaussian_matrix(SeededRng(9), 5, 7)
-    m2 = random_gaussian_matrix(SeededRng(9), 5, 7)
+def test_normal_matrix_shape_and_determinism():
+    m1 = SeededRng(9).normal(5, 7)
+    m2 = SeededRng(9).normal(5, 7)
     assert m1.shape == (5, 7)
     assert np.array_equal(m1, m2)

@@ -13,12 +13,13 @@ from mirrorflow.mirror_maps import (
     ProjectionMap,
     SimplexEntropyMap,
 )
-from mirrorflow.numerics import SeededRng, random_gaussian_matrix
+from mirrorflow.numerics import SeededRng
 from mirrorflow.problems import (
     PROBLEMS,
     ConsensusProblem,
     ConstrainedProblem,
     MonotropicProblem,
+    SmoothObjective,
     build_consensus_quadratic,
     build_dbp_col,
     build_dbp_row,
@@ -209,6 +210,12 @@ def test_mixed_smoothness_rejected():
         ConsensusProblem(objs, p.mirrors, p.graph, 4)
 
 
+def test_smooth_objective_needs_a_lipschitz_bound():
+    # the reference oracle's step is 1/L, so the bound is part of the objective
+    with pytest.raises(TypeError, match="lipschitz"):
+        SmoothObjective(lambda x: float(x @ x), lambda x: 2.0 * x)
+
+
 def test_consensus_laplacian_comes_from_its_graph():
     from mirrorflow.graph import from_edges, lift
     from mirrorflow.problems import ConsensusProblem
@@ -333,7 +340,7 @@ def test_l1_grad_stacked_equals_the_per_block_gradients():
     # unequal blocks: the one entrywise call must give the concatenation bit for bit
     rng = SeededRng(5)
     sizes = (2, 3, 5)
-    a_blocks = tuple(random_gaussian_matrix(rng, 2, p) for p in sizes)
+    a_blocks = tuple(rng.normal(2, p) for p in sizes)
     p = MonotropicProblem(tuple(L1Objective() for n in sizes), a_blocks,
                           tuple(np.zeros(2) for _ in sizes),
                           tuple(EuclideanMap(n) for n in sizes), ring(3), m=2)
@@ -392,11 +399,11 @@ def _l1_problem(shape: str, kind: str, seed: int, n: int = 4, k: int = 3):
     point = np.full(n, 1.0 / n)
     maps = tuple(_set_holding(kind, rng, point) for _ in range(k))
     if shape == "centralized":
-        a = random_gaussian_matrix(rng, 2, n)
+        a = rng.normal(2, n)
         return ConstrainedProblem(L1Objective(), a, a @ point, maps[0])
     if shape == "consensus":
         return ConsensusProblem(tuple(L1Objective() for _ in maps), maps, ring(k), n)
-    a_blocks = tuple(random_gaussian_matrix(rng, 2, n) for _ in maps)
+    a_blocks = tuple(rng.normal(2, n) for _ in maps)
     d = sum(a_i @ point for a_i in a_blocks) / k
     return MonotropicProblem(tuple(L1Objective() for _ in maps), a_blocks,
                              tuple(d for _ in maps), maps, ring(k), m=2)
