@@ -9,6 +9,7 @@ configurable.
 
 from __future__ import annotations
 
+import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ import numpy as np
 from . import dynamics as _dyn
 from .diagnostics import evaluate_run, rate_fit
 from .dynamics import SystemParams, build_field
+from .errors import MirrorflowError
 from .integrator import IntegratorConfig, integrate
 from .mirror_maps import EuclideanMap, ItakuraSaitoMap, NegEntropyMap, SimplexEntropyMap
 from .numerics import SeededRng
@@ -62,13 +64,36 @@ class _Checker:
         self.ok = self.ok and bool(condition)
 
 
-def _run(problem, system, alpha, beta, tf, mu0=None, **tolerances):
-    fld = build_field(system, problem, SystemParams(alpha=alpha, beta=beta, mu0=mu0))
+def _criterion(name: str):
+    """Name a criterion whose body returns (passed, runtime, details).
+
+    A MirrorflowError raised in the body fails the criterion, with the error
+    (and for an IntegrationError its failure time) as its detail line, so
+    ``verify`` still runs the criteria after it.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            try:
+                return CriterionResult(name, *body())
+            except MirrorflowError as exc:
+                at = f" at t = {exc.t:.6g}" if getattr(exc, "t", None) is not None else ""
+                return CriterionResult(name, False, time.perf_counter() - start,
+                                       [f"  BAD {type(exc).__name__}{at}: {exc}"])
+        return run
+    return wrap
+
+
+def _run(problem, system, alpha, beta, tf, mu0=None, mu_power=None, **tolerances):
+    params = SystemParams(alpha=alpha, beta=beta, mu0=mu0, mu_power=mu_power)
+    fld = build_field(system, problem, params)
     cfg = IntegratorConfig(**tolerances)
     return fld, integrate(fld.rhs, fld.initial_state, fld.params.t0, tf, cfg)
 
 
-def criterion_1() -> CriterionResult:
+@_criterion("1 unit property suites")
+def criterion_1() -> tuple:
     """Unit property suites at the module-invariant tolerances."""
     start = time.perf_counter()
     c = _Checker()
@@ -181,10 +206,11 @@ def criterion_1() -> CriterionResult:
 
     runtime = time.perf_counter() - start
     c.expect(runtime < 30.0, f"runtime {runtime:.1f}s < 30s")
-    return CriterionResult("1 unit property suites", c.ok, runtime, c.details)
+    return c.ok, runtime, c.details
 
 
-def criterion_2() -> CriterionResult:
+@_criterion("2 scalar sanity flow")
+def criterion_2() -> tuple:
     """Scalar sanity flow: rate bound, energy monotonicity, fitted slope."""
     start = time.perf_counter()
     c = _Checker()
@@ -200,10 +226,11 @@ def criterion_2() -> CriterionResult:
     c.expect(slope <= -1.8, f"fitted gap slope {slope:.2f} <= -1.8")
     runtime = time.perf_counter() - start
     c.expect(runtime < 5.0, f"runtime {runtime:.1f}s < 5s")
-    return CriterionResult("2 scalar sanity flow", c.ok, runtime, c.details)
+    return c.ok, runtime, c.details
 
 
-def criterion_3() -> CriterionResult:
+@_criterion("3 centralized logistic")
+def criterion_3() -> tuple:
     """Centralized logistic run at alpha in {2, 4, 6}."""
     start = time.perf_counter()
     c = _Checker()
@@ -227,10 +254,11 @@ def criterion_3() -> CriterionResult:
         c.expect(rep.slope_feasibility <= -0.9,
                  f"alpha={alpha:g}: feasibility slope {rep.slope_feasibility:.2f} <= -0.9")
         c.expect(time.perf_counter() - t_alpha < 30.0, f"alpha={alpha:g}: runtime < 30s")
-    return CriterionResult("3 centralized logistic", c.ok, time.perf_counter() - start, c.details)
+    return c.ok, time.perf_counter() - start, c.details
 
 
-def criterion_4() -> CriterionResult:
+@_criterion("4 distributed logistic ring")
+def criterion_4() -> tuple:
     """Distributed logistic ring: consensus bound at T and set feasibility."""
     start = time.perf_counter()
     c = _Checker()
@@ -247,10 +275,11 @@ def criterion_4() -> CriterionResult:
              f"per-agent set feasibility {rep.feasibility_max_violation:.2e} <= 1e-6 throughout")
     runtime = time.perf_counter() - start
     c.expect(runtime < 60.0, f"runtime {runtime:.1f}s < 60s")
-    return CriterionResult("4 distributed logistic ring", c.ok, runtime, c.details)
+    return c.ok, runtime, c.details
 
 
-def criterion_5() -> CriterionResult:
+@_criterion("5 distributed quadratic")
+def criterion_5() -> tuple:
     """Distributed quadratic resource sharing: multiplier consensus bound."""
     start = time.perf_counter()
     c = _Checker()
@@ -267,7 +296,7 @@ def criterion_5() -> CriterionResult:
              f"box feasibility {rep.feasibility_max_violation:.2e} <= 1e-6 throughout")
     runtime = time.perf_counter() - start
     c.expect(runtime < 120.0, f"runtime {runtime:.1f}s < 120s")
-    return CriterionResult("5 distributed quadratic", c.ok, runtime, c.details)
+    return c.ok, runtime, c.details
 
 
 def _recovery_checks(c, x_signal, x_true, f_val, f_true, label):
@@ -283,7 +312,8 @@ def _recovery_checks(c, x_signal, x_true, f_val, f_true, label):
              f"{label}: objective within 1e-3 of f* (gap {abs(f_val - f_true):.2e})")
 
 
-def criterion_6() -> CriterionResult:
+@_criterion("6 smoothed nonnegative recovery")
+def criterion_6() -> tuple:
     """Smoothed nonnegative l1 recovery at alpha in {2, 4}."""
     start = time.perf_counter()
     c = _Checker()
@@ -301,20 +331,23 @@ def criterion_6() -> CriterionResult:
         _recovery_checks(c, xT, ref.x_star, problem.f_exact(xT), ref.f_star,
                          f"alpha={alpha:g}")
         c.expect(time.perf_counter() - t_alpha < 120.0, f"alpha={alpha:g}: runtime < 120s")
-    return CriterionResult("6 smoothed nonnegative recovery", c.ok, time.perf_counter() - start, c.details)
+    return c.ok, time.perf_counter() - start, c.details
 
 
-def criterion_7() -> CriterionResult:
+@_criterion("7 distributed smoothed recovery")
+def criterion_7() -> tuple:
     """Distributed smoothed l1 recovery, row and column partitions.
 
     Recovery is evaluated on the reconstructed signal at the run's final
-    time (the agent-mean block for the row partition). Horizons and the
-    surrogate scale mu0 are pinned where the runtime budget and the
-    recovery tolerances jointly hold: the surrogate band shrinks like
-    t^(-2 alpha), so every zero crossing of a signal coordinate costs the
-    integrator a near-kink transit and the marginal stepping cost grows
-    superlinearly in t; a large mu0 keeps the band wide (the approximation
-    bias kappa * mu(t) still vanishes well before the final time).
+    time (the agent-mean block for the row partition). Both runs go to
+    t = 86 with mu0 = 10. Inside the band |x_i| <= mu/2 an off-support
+    coordinate oscillates at omega = sqrt(2 / mu(t)), which the integrator
+    resolves at h omega of about 0.3 to 0.5; omega grows like t^(p/2) for
+    mu(t) = mu0 t^(-p). The row run keeps the default p = 2 alpha. The
+    column run uses p = 4 alpha / 3 = 4, the slowest decay ``check_params``
+    admits. At p = 2 alpha no column setting tried passes within its budget:
+    with mu0 1000 it exhausts max_steps before t = 86, and to t = 80 it
+    misses the objective gate after 460 s; mu0 1e4 and 1e5 miss it too.
     """
     start = time.perf_counter()
     c = _Checker()
@@ -322,7 +355,7 @@ def criterion_7() -> CriterionResult:
     t_row = time.perf_counter()
     problem = build_dbp_row(seed=1)
     ref = reference_solution(problem, 1e-8)
-    fld, traj = _run(problem, "sadpdmd", alpha=3.0, beta=1.0, tf=70.0, mu0=10.0,
+    fld, traj = _run(problem, "sadpdmd", alpha=3.0, beta=1.0, tf=86.0, mu0=10.0,
                      rel_tol=1e-4, abs_tol=1e-6)
     rep = evaluate_run(fld, traj, ref)
     cons = rep.check("consensus_rate")
@@ -338,7 +371,7 @@ def criterion_7() -> CriterionResult:
     t_col = time.perf_counter()
     problem = build_dbp_col(seed=54)
     ref = reference_solution(problem, 1e-8)
-    fld, traj = _run(problem, "sadmd", alpha=3.0, beta=1.0, tf=86.0, mu0=1000.0,
+    fld, traj = _run(problem, "sadmd", alpha=3.0, beta=1.0, tf=86.0, mu0=10.0, mu_power=4.0,
                      rel_tol=1e-4, abs_tol=1e-6)
     rep = evaluate_run(fld, traj, ref)
     mult = rep.check("multiplier_consensus_rate")
@@ -348,10 +381,11 @@ def criterion_7() -> CriterionResult:
     elapsed = time.perf_counter() - t_col
     c.expect(elapsed < 180.0, f"col: runtime {elapsed:.0f}s < 180s")
 
-    return CriterionResult("7 distributed smoothed recovery", c.ok, time.perf_counter() - start, c.details)
+    return c.ok, time.perf_counter() - start, c.details
 
 
-def criterion_8() -> CriterionResult:
+@_criterion("8 first/second-order agreement")
+def criterion_8() -> tuple:
     """First-order versus second-order form on a 3-dim problem."""
     start = time.perf_counter()
     c = _Checker()
@@ -380,7 +414,7 @@ def criterion_8() -> CriterionResult:
                  f"{mirror.kind}: sup |first - second| = {max(sup_x, sup_lam):.2e} <= {tol:.0e}")
     runtime = time.perf_counter() - start
     c.expect(runtime < 10.0, f"runtime {runtime:.1f}s < 10s")
-    return CriterionResult("8 first/second-order agreement", c.ok, runtime, c.details)
+    return c.ok, runtime, c.details
 
 
 @contextmanager
@@ -402,7 +436,8 @@ def dynamics_poisoned():
             table[key] = fn
 
 
-def criterion_9() -> CriterionResult:
+@_criterion("9 oracle independence")
+def criterion_9() -> tuple:
     """Reference oracle quality on the whole catalogue, dynamics untouched."""
     start = time.perf_counter()
     c = _Checker()
@@ -416,10 +451,11 @@ def criterion_9() -> CriterionResult:
 
     runtime = time.perf_counter() - start
     c.expect(runtime < 60.0, f"total runtime {runtime:.1f}s < 60s")
-    return CriterionResult("9 oracle independence", c.ok, runtime, c.details)
+    return c.ok, runtime, c.details
 
 
-def negative_control() -> CriterionResult:
+@_criterion("negative control")
+def negative_control() -> tuple:
     """Tampering with the bound slack must flip a tight check to failing."""
     start = time.perf_counter()
     c = _Checker()
@@ -437,7 +473,7 @@ def negative_control() -> CriterionResult:
     tampered = evaluate_run(fld, traj, ref, slack=0.5).check("consensus_rate")
     c.expect(not tampered.ok,
              "slack tampered to 0.5 makes the consensus check fail")
-    return CriterionResult("negative control", c.ok, time.perf_counter() - start, c.details)
+    return c.ok, time.perf_counter() - start, c.details
 
 
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

@@ -34,11 +34,15 @@ from .problems import ConsensusProblem, ConstrainedProblem, MonotropicProblem
 
 @dataclass(frozen=True)
 class SystemParams:
-    """A flow's constants; mu0 > 0 scales mu(t) for a smoothed objective, else None."""
+    """A flow's constants; a smoothed objective has mu(t) = mu0 t^(-mu_power).
+
+    mu_power None means 2 alpha. A smooth objective has mu0 = mu_power = None.
+    """
     alpha: float
     beta: float = 1.0
     t0: float = 1.0
     mu0: float | None = None
+    mu_power: float | None = None
 
     def __post_init__(self):
         if not 2 <= self.alpha < math.inf:
@@ -51,12 +55,13 @@ class SystemParams:
             raise ParameterError(f"mu0 must be finite and positive, got {self.mu0}")
 
     def mu_at(self, t: float) -> float:
-        """mu(t) = mu0 t^(-2 alpha) for t >= t0; 0 at any t when mu0 is None."""
+        """mu(t) = mu0 t^(-mu_power) for t >= t0; 0 at any t when mu0 is None."""
         if self.mu0 is None:
             return 0.0
         if t < self.t0:
             raise ParameterError(f"mu_at called with t = {t} < t0 = {self.t0}")
-        return self.mu0 * float(t) ** (-2.0 * self.alpha)
+        power = 2.0 * self.alpha if self.mu_power is None else self.mu_power
+        return self.mu0 * float(t) ** -power
 
 
 @dataclass(frozen=True)
@@ -320,11 +325,27 @@ def mismatch(system: str, problem) -> str | None:
 
 
 def check_params(system: str, params: SystemParams):
-    """Raise ParameterError when the system's analysis does not cover params."""
+    """Raise ParameterError when the system's analysis does not cover params.
+
+    A smoothed system needs mu(t) = mu0 t^(-p) with p >= 4 alpha / 3. With
+    that schedule the dissipation inequality dV/dt <= -((alpha - 2) t / alpha^2)
+    core holds. mu enters dV/dt as 8 kappa t mu / alpha^2 + (t^2 / alpha^2) mu'
+    (d_mu f_mu(x) - d_mu f_mu(x*) + 4 kappa). ``smooth_abs`` has
+    0 <= d_mu f_mu <= kappa, so the bracket is at least 3 kappa, and the smooth
+    part leaves -((alpha - 2) t / alpha^2)(core - 4 kappa mu). In the worst case
+    the mu terms sum to (kappa t mu / alpha^2)(4 (alpha - 2) + 8 - 3 p), which
+    is <= 0 iff p >= 4 alpha / 3. This bound is re-derived here, not checked
+    against the paper. The default p = 2 alpha meets it for every alpha >= 2.
+    """
     spec = SYSTEMS[system]
     if spec.smoothed != (params.mu0 is not None):
         raise ParameterError(f"{system} needs mu0 in SystemParams" if spec.smoothed
                              else f"{system} has a smooth objective; mu0 must be None")
+    if not spec.smoothed and params.mu_power is not None:
+        raise ParameterError(f"{system} has a smooth objective; mu_power must be None")
+    if params.mu_power is not None and not 4 * params.alpha / 3 <= params.mu_power < math.inf:
+        raise ParameterError(f"{system} needs a finite mu_power >= 4 alpha / 3 = "
+                             f"{4 * params.alpha / 3:g}; got {params.mu_power}")
     if spec.problem is MonotropicProblem and params.beta != 1.0:
         raise ParameterError(f"{system} is analyzed with beta = 1; got beta = {params.beta}")
 

@@ -1,12 +1,19 @@
 """Adaptive embedded Runge-Kutta 5(4) integrator (Dormand-Prince pair).
 
 Seven stages, fifth order propagating solution with an embedded fourth-order
-error estimate and the FSAL property. Step acceptance uses a componentwise
+error estimate and the FSAL property. FSAL invariant: at the start of every
+attempt, stage row k[0] holds f(t, y) of the last accepted state. An attempt
+writes only rows 1-6, and only an accepted step copies its last stage,
+f(t + h, y_new), into k[0]; so a step retried after a rejection is a true
+Dormand-Prince step from the accepted state, and each step's Hermite samples
+use that state's slope. Step acceptance uses a componentwise
 test err_i <= abs_tol + rel_tol * |y_i| combined in the max norm, and the
 step controller is a standard PI law. Output at requested sample times comes
 from cubic Hermite interpolation on each accepted step (locally fourth-order
-accurate), so sampling never perturbs the step sequence and re-running with
-identical inputs reproduces the trajectory bit for bit.
+accurate), pulled toward the step's chord where the cubic overshoots a
+component that is monotone on the step (see ``_sample``). Sampling never
+perturbs the step sequence, and re-running with identical inputs reproduces
+the trajectory bit for bit.
 
 Stage evaluations that raise a domain or arithmetic error (division by zero
 included) or return non-finite values are treated as an infinitely large
@@ -92,6 +99,31 @@ def _hermite(theta, h, y0, y1, f0, f1):
     return h00 * y0 + (h10 * h) * f0 + h01 * y1 + (h11 * h) * f1
 
 
+def _sample(theta, h, y0, y1, f0, f1):
+    """The state at t + theta h of a step from (y0, f0) to (y1, f1).
+
+    The cubic Hermite interpolant, unless it leaves the range of a component
+    whose end slopes both point from y0_i to y1_i: that component is monotone
+    on the step, yet its cubic overshoots when an end slope is much steeper
+    than the secant. Then the whole sample moves toward the chord, just far
+    enough to bring every such component back into its range. Cubic and chord
+    are both affine in the step data, so the sample keeps the flow's linear
+    invariants, and a box or orthant holding y0 and y1 holds every monotone
+    component. Overshoots within the cubic's rounding error are left alone.
+    """
+    cubic = _hermite(theta, h, y0, y1, f0, f1)
+    d = y1 - y0
+    lo, hi = np.minimum(y0, y1), np.maximum(y0, y1)
+    rounding = 8 * np.finfo(float).eps * (np.abs(y0) + np.abs(y1) + h * (np.abs(f0) + np.abs(f1)))
+    out = (f0 * d >= 0) & (f1 * d >= 0) & ((cubic < lo - rounding) | (cubic > hi + rounding))
+    if not out.any():
+        return cubic
+    chord = y0 + theta * d
+    bound = np.where(cubic[out] < lo[out], lo[out], hi[out])
+    pull = np.min((bound - chord[out]) / (cubic[out] - chord[out]))
+    return chord + pull * (cubic - chord)
+
+
 def _initial_step(t0, y0, f0, rel_tol, abs_tol, tf):
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = np.max(np.abs(y0) / scale)
@@ -152,11 +184,12 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
         out_states[0] = y0
         out_idx = 1
 
-    t, y, fk = t0, y0.copy(), k0
+    t, y = t0, y0.copy()
     accepted = rejected = 0
     err_prev = 1e-4
     warnings: list[str] = []
     k = np.empty((7, y0.size))
+    k[0] = k0  # f(t, y) of the accepted state; only an accepted step rewrites it
     # per-step work buffers; every product and sum keeps the order of the
     # textbook expressions y + h * (a @ k) and |h * (e @ k)| / scale
     y_stage = np.empty(y0.size)
@@ -173,7 +206,6 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
             fail(f"exceeded max_steps = {config.max_steps} at t = {t:.6g}", t)
         h = min(h, tf - t)
 
-        k[0] = fk
         bad = False
         for i, a_row in enumerate(_A):
             np.dot(a_row, k[: i + 1], out=y_stage)
@@ -203,19 +235,19 @@ def integrate(f, y0, t0: float, tf: float, config: IntegratorConfig | None = Non
 
         if err <= 1.0 and all_finite(y_new):
             t_new = t + h
-            f_new = k[6]  # FSAL: last stage is f(t_new, y_new)
             # emit interpolated samples covered by this step
             while out_idx < sample_times.size and sample_times[out_idx] <= t_new + 1e-14 * max(1.0, t_new):
                 ts = min(sample_times[out_idx], t_new)
                 theta = (ts - t) / h
-                out_states[out_idx] = _hermite(theta, h, y, y_new, k[0], f_new)
+                out_states[out_idx] = _sample(theta, h, y, y_new, k[0], k[6])
                 out_idx += 1
             accepted += 1
             err = max(err, 1e-10)
             factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev**_PI_BETA
             h *= min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
             err_prev = err
-            t, y, fk = t_new, y_new, f_new
+            t, y = t_new, y_new
+            k[0] = k[6]  # FSAL: the last stage is f(t_new, y_new)
         else:
             rejected += 1
             shrink = 0.25 if not np.isfinite(err) else max(0.1, min(0.9, _SAFETY * err ** (-0.2)))

@@ -8,6 +8,7 @@ import pytest
 
 from mirrorflow import acceptance, dynamics
 from mirrorflow.dynamics import SystemParams
+from mirrorflow.errors import IntegrationError, OracleError
 from mirrorflow.problems import build_dis_logistic, build_dist_qp, build_scalar
 
 
@@ -77,3 +78,26 @@ def test_poison_reaches_every_field_builder():
     assert dynamics._BUILDERS == table
     assert {n: getattr(dynamics, n) for n in dir(dynamics)} == names
     assert dynamics.build_field("apdmd", problems[0], params).kind == "apdmd"
+
+
+def test_a_raising_criterion_fails_and_the_rest_still_run(monkeypatch, capsys):
+    @acceptance._criterion("7 diverges")
+    def diverges():
+        raise IntegrationError("exceeded max_steps = 10", t=83.4)
+
+    @acceptance._criterion("8 unsolved")
+    def unsolved():
+        raise OracleError("no convergence")
+
+    @acceptance._criterion("9 passes")
+    def passes():
+        return True, 0.0, ["  ok fine"]
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [diverges, unsolved, passes])
+    results = acceptance.run_acceptance()
+    assert [(r.name, r.passed) for r in results] == \
+        [("7 diverges", False), ("8 unsolved", False), ("9 passes", True)]
+    assert results[0].details == ["  BAD IntegrationError at t = 83.4: exceeded max_steps = 10"]
+    assert results[1].details == ["  BAD OracleError: no convergence"]
+    out = capsys.readouterr().out
+    assert "[FAIL] 7 diverges" in out and "[PASS] 9 passes" in out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mirrorflow.dynamics import SystemParams, apdmd_second_order_field, build_field
+from mirrorflow.dynamics import SystemParams, apdmd_second_order_field, build_field, check_params
 from mirrorflow.errors import ParameterError
 from mirrorflow.graph import from_edges
 from mirrorflow.integrator import IntegratorConfig, integrate
@@ -448,6 +448,35 @@ def test_smooth_system_rejects_mu0(system, problem):
 def test_smoothed_system_needs_mu0(system, problem):
     with pytest.raises(ParameterError, match=f"{system} needs mu0 in SystemParams"):
         build_field(system, problem, SystemParams(alpha=3.0))
+
+
+@pytest.mark.parametrize("system, problem", [
+    ("apdmd", build_scalar()), ("adpdmd", build_dis_logistic()), ("admd", build_dist_qp(1)),
+])
+def test_smooth_system_rejects_mu_power(system, problem):
+    message = f"{system} has a smooth objective; mu_power must be None"
+    with pytest.raises(ParameterError, match=message):
+        build_field(system, problem, SystemParams(alpha=3.0, mu_power=4.0))
+
+
+def test_default_mu_schedule_keeps_its_bits():
+    # mu_power None is 2 alpha: the schedule every run had before mu_power
+    params = SystemParams(alpha=3.0, mu0=10.0)
+    ts = [1.0, 1.5, 2.0, 7.3, 25.0, 70.0, 86.0, 1e3]
+    assert np.array_equal([params.mu_at(t) for t in ts], [10.0 * t ** -6.0 for t in ts])
+    slower = SystemParams(alpha=3.0, mu0=10.0, mu_power=4.0)
+    assert np.array_equal([slower.mu_at(t) for t in ts], [10.0 * t ** -4.0 for t in ts])
+
+
+@pytest.mark.parametrize("system", ["sapdmd", "sadpdmd", "sadmd"])
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+def test_mu_power_below_four_alpha_thirds_is_refused(system, alpha):
+    bound = 4 * alpha / 3
+    check_params(system, SystemParams(alpha=alpha, mu0=1.0, mu_power=bound))
+    check_params(system, SystemParams(alpha=alpha, mu0=1.0))  # 2 alpha
+    for bad in (np.nextafter(bound, 0), 0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="needs a finite mu_power >= 4 alpha / 3"):
+            check_params(system, SystemParams(alpha=alpha, mu0=1.0, mu_power=bad))
 
 
 def test_smooth_field_evaluates_before_t0():

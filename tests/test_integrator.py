@@ -62,6 +62,34 @@ def test_interpolation_matches_direct_integration():
         assert np.max(np.abs(traj.states[i] - direct.states[-1])) <= 10 * 1e-6
 
 
+def test_retry_after_a_rejection_starts_from_the_accepted_slope():
+    # FSAL: a step retried after a rejection must start from f(t, y) of the
+    # accepted state, not from the rejected attempt's last stage
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6)
+    traj = integrate(lambda t, y: np.array([2.0 * t * np.cos(t * t)]), np.array([0.0]),
+                     0.0, 6.0, cfg)
+    assert traj.steps_rejected >= 1
+    assert abs(traj.states[-1, 0] - np.sin(36.0)) <= 1e-6
+
+
+def test_a_sample_keeps_a_component_that_leaves_its_bound_within_it():
+    # x rests on 0 until t = 1.3 and then grows like (t - 1.3)^3 / 3; on the
+    # step across 1.3 its end slope is steeper than three secants, so the
+    # cubic Hermite sample dips below 0. The oscillating y and w make
+    # x + y + w = 0 a linear invariant that clipping x alone would break.
+    def f(t, y):
+        s, c = max(0.0, t - 1.3) ** 2, np.cos(5.0 * t)
+        return np.array([s, c - s, -c])
+
+    ts = np.linspace(1.0, 3.0, 2001)
+    traj = integrate(f, np.zeros(3), 1.0, 3.0, IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4),
+                     sample_times=ts)
+    x = traj.states[:, 0]
+    assert x.min() >= -1e-15
+    assert np.max(np.abs(traj.states.sum(axis=1))) <= 1e-14
+    assert np.max(np.abs(x - np.maximum(0.0, ts - 1.3) ** 3 / 3)) <= 1e-3
+
+
 def test_geometric_grid():
     grid = geometric_grid(1.0, 100.0)  # 40 points per decade
     assert grid[0] == 1.0 and grid[-1] == 100.0
