@@ -109,7 +109,7 @@ def solve_consensus_smooth(problem: ConsensusProblem, tol: float) -> ReferenceSo
     proj = _block_projector(problem)
     lip = max(o.lipschitz for o in problem.objectives)
     lap = problem.lifted.matrix
-    x, lam, kkt = _alm(lambda z: problem.grad_stacked(z), lip, proj,
+    x, lam, kkt = _alm(problem.grad_stacked, lip, proj,
                        lap, np.zeros(problem.dim), tol, np.zeros(problem.dim))
     return ReferenceSolution(x, lam, problem.f_exact(x), kkt, method="alm-fista")
 

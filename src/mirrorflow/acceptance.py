@@ -1,10 +1,13 @@
 """Acceptance suite: every release gate as an executable check.
 
-Each criterion function runs a pinned, deterministic configuration and
-returns a CriterionResult with one detail line per sub-check. The CLI
-``verify`` command prints the pass/fail table; the pytest acceptance module
-asserts each criterion individually. Tolerances are fixed here, not
-configurable.
+Each criterion body runs a pinned, deterministic configuration and records
+one detail line per sub-check on the CriterionResult it is handed. The
+``_criterion`` harness owns the rest: it times the body, adds the line
+``runtime ...s < ...s`` for a criterion with a whole-criterion budget, and
+turns a package error raised in the body into a BAD line after the lines
+already recorded. The CLI ``verify`` command prints the pass/fail table;
+the pytest acceptance module asserts each criterion individually.
+Tolerances are fixed here, not configurable.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .problems import (
     reference_solution,
 )
 from .projections import AffineSet, Box, HalfSpace, PositiveOrthant, Simplex, Sphere
-from .smoothing import smooth_abs, smooth_abs_grad, smooth_max_zero
+from .smoothing import smooth_abs, smooth_abs_grad
 
 
 @dataclass
@@ -48,55 +51,58 @@ class CriterionResult:
     runtime: float
     details: list = field(default_factory=list)
 
+    def expect(self, condition: bool, message: str):
+        """Record one sub-check; a false condition fails the criterion."""
+        self.details.append(f"  {'ok ' if condition else 'BAD'} {message}")
+        self.passed = self.passed and bool(condition)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name}  ({self.runtime:.1f}s)"
 
 
-class _Checker:
-    def __init__(self):
-        self.details = []
-        self.ok = True
+def _criterion(name: str, budget: float | None = None):
+    """Name a criterion whose body records its sub-checks on the result ``c``.
 
-    def expect(self, condition: bool, message: str):
-        mark = "ok " if condition else "BAD"
-        self.details.append(f"  {mark} {message}")
-        self.ok = self.ok and bool(condition)
-
-
-def _criterion(name: str):
-    """Name a criterion whose body returns (passed, runtime, details).
-
-    A MirrorflowError raised in the body fails the criterion, with the error
-    (and for an IntegrationError its failure time) as its detail line, so
-    ``verify`` still runs the criteria after it.
+    The harness times the body. A MirrorflowError raised in it fails the
+    criterion with a BAD line naming the error (and for an IntegrationError
+    its failure time) after the lines already recorded, so ``verify`` still
+    runs the criteria after it. Given a budget in seconds, the last line
+    checks the whole criterion's runtime against it.
     """
     def wrap(body):
         @functools.wraps(body)
         def run() -> CriterionResult:
+            c = CriterionResult(name, True, 0.0)
             start = time.perf_counter()
             try:
-                return CriterionResult(name, *body())
+                body(c)
             except MirrorflowError as exc:
                 at = f" at t = {exc.t:.6g}" if getattr(exc, "t", None) is not None else ""
-                return CriterionResult(name, False, time.perf_counter() - start,
-                                       [f"  BAD {type(exc).__name__}{at}: {exc}"])
+                c.expect(False, f"{type(exc).__name__}{at}: {exc}")
+            c.runtime = time.perf_counter() - start
+            if budget is not None:
+                c.expect(c.runtime < budget, f"runtime {c.runtime:.1f}s < {budget:g}s")
+            return c
         return run
     return wrap
 
 
-def _run(problem, system, alpha, beta, tf, mu0=None, mu_power=None, **tolerances):
-    params = SystemParams(alpha=alpha, beta=beta, mu0=mu0, mu_power=mu_power)
-    fld = build_field(system, problem, params)
-    cfg = IntegratorConfig(**tolerances)
-    return fld, integrate(fld.rhs, fld.initial_state, fld.params.t0, tf, cfg)
+def _run(problem, ref, system, tf, **settings):
+    """Integrate ``system`` on ``problem`` to ``tf`` and evaluate it against ``ref``.
+
+    ``settings`` are ``SystemParams`` fields and the ``IntegratorConfig``
+    tolerances a criterion sets; the rest keep their defaults.
+    """
+    tolerances = {k: settings.pop(k) for k in ("rel_tol", "abs_tol") if k in settings}
+    fld = build_field(system, problem, SystemParams(**settings))
+    traj = integrate(fld.rhs, fld.initial_state, fld.params.t0, tf, IntegratorConfig(**tolerances))
+    return fld, traj, evaluate_run(fld, traj, ref)
 
 
-@_criterion("1 unit property suites")
-def criterion_1() -> tuple:
+@_criterion("1 unit property suites", budget=30)
+def criterion_1(c):
     """Unit property suites at the module-invariant tolerances."""
-    start = time.perf_counter()
-    c = _Checker()
     rng = SeededRng(2024)
 
     maps = [EuclideanMap(4), NegEntropyMap(4), ItakuraSaitoMap(4), SimplexEntropyMap(4)]
@@ -168,9 +174,7 @@ def criterion_1() -> tuple:
     mono_ok = True
     prev_vals = None
     for mu in (1.0, 0.1, 0.01):
-        gm = smooth_max_zero(grid, mu) - np.maximum(grid, 0.0)
         ga = smooth_abs(grid, mu) - np.abs(grid)
-        sandwich_ok &= bool(np.all(gm >= -1e-14) and np.all(gm <= mu / 4 + 1e-14))
         sandwich_ok &= bool(np.all(ga >= -1e-14) and np.all(ga <= mu / 4 + 1e-14))
         vals = smooth_abs(grid, mu)
         if prev_vals is not None:
@@ -204,99 +208,73 @@ def criterion_1() -> tuple:
         edge_ok &= abs(consensus_residual(lifted, x) - direct) <= 1e-10
     c.expect(edge_ok, "consensus residual equals the edge sum")
 
-    runtime = time.perf_counter() - start
-    c.expect(runtime < 30.0, f"runtime {runtime:.1f}s < 30s")
-    return c.ok, runtime, c.details
 
-
-@_criterion("2 scalar sanity flow")
-def criterion_2() -> tuple:
+@_criterion("2 scalar sanity flow", budget=5)
+def criterion_2(c):
     """Scalar sanity flow: rate bound, energy monotonicity, fitted slope."""
-    start = time.perf_counter()
-    c = _Checker()
     problem = build_scalar()
     ref = reference_solution(problem, 1e-10)
-    fld, traj = _run(problem, "apdmd", alpha=2.0, beta=1.0, tf=100.0)
-    rep = evaluate_run(fld, traj, ref)
+    _, traj, rep = _run(problem, ref, "apdmd", 100.0, alpha=2.0)
     gap_check = rep.check("lagrangian_gap_rate")
     c.expect(gap_check.ok, f"gap * t^2 <= 1.05 alpha^2 V0 (max ratio {gap_check.max_ratio:.3f})")
     lyap = rep.check("lyapunov_monotone")
     c.expect(lyap.ok, "Lyapunov energy nonincreasing")
     slope = rate_fit(traj.times, rep.lagrangian_gap)
     c.expect(slope <= -1.8, f"fitted gap slope {slope:.2f} <= -1.8")
-    runtime = time.perf_counter() - start
-    c.expect(runtime < 5.0, f"runtime {runtime:.1f}s < 5s")
-    return c.ok, runtime, c.details
 
 
 @_criterion("3 centralized logistic")
-def criterion_3() -> tuple:
+def criterion_3(c):
     """Centralized logistic run at alpha in {2, 4, 6}."""
-    start = time.perf_counter()
-    c = _Checker()
     problem = build_logistic_centralized()
     ref = reference_solution(problem, 1e-9)
     c.expect(abs(ref.f_star - np.log(1 + np.exp(-1))) <= 1e-9,
              "f* equals log(1 + e^-1)")
     for alpha in (2.0, 4.0, 6.0):
         t_alpha = time.perf_counter()
-        fld, traj = _run(problem, "apdmd", alpha=alpha, beta=1.0, tf=100.0)
-        rep = evaluate_run(fld, traj, ref)
+        fld, traj, rep = _run(problem, ref, "apdmd", 100.0, alpha=alpha)
         xs = traj.states[:, :4]
         sum_dev = float(np.max(np.abs(xs.sum(axis=1) - 1.0)))
         min_coord = float(np.min(xs))
         c.expect(sum_dev <= 1e-6, f"alpha={alpha:g}: |1.x - 1| max {sum_dev:.2e} <= 1e-6")
         c.expect(min_coord >= -1e-8, f"alpha={alpha:g}: min coordinate {min_coord:.2e} >= -1e-8")
-        bound = 1.05 * np.sqrt(2 * alpha**2 * rep.v0 / 1.0) / traj.times
+        bound = 1.05 * np.sqrt(2 * alpha**2 * rep.v0 / fld.params.beta) / traj.times
         ratio = float(np.max(rep.feasibility / bound))
         c.expect(ratio <= 1.0, f"alpha={alpha:g}: ||Ax-b|| within 1.05 sqrt(2 a^2 V0/b)/t "
                                f"(max ratio {ratio:.3f})")
         c.expect(rep.slope_feasibility <= -0.9,
                  f"alpha={alpha:g}: feasibility slope {rep.slope_feasibility:.2f} <= -0.9")
         c.expect(time.perf_counter() - t_alpha < 30.0, f"alpha={alpha:g}: runtime < 30s")
-    return c.ok, time.perf_counter() - start, c.details
 
 
-@_criterion("4 distributed logistic ring")
-def criterion_4() -> tuple:
+@_criterion("4 distributed logistic ring", budget=60)
+def criterion_4(c):
     """Distributed logistic ring: consensus bound at T and set feasibility."""
-    start = time.perf_counter()
-    c = _Checker()
     problem = build_dis_logistic()
     ref = reference_solution(problem, 1e-8)
-    alpha, beta, tf = 3.0, 1.0, 100.0
-    fld, traj = _run(problem, "adpdmd", alpha=alpha, beta=beta, tf=tf)
-    rep = evaluate_run(fld, traj, ref)
-    bound = 1.05 * 2 * alpha**2 * rep.v0 / (beta * tf**2)
+    alpha, tf = 3.0, 100.0
+    fld, traj, rep = _run(problem, ref, "adpdmd", tf, alpha=alpha)
+    bound = 1.05 * 2 * alpha**2 * rep.v0 / (fld.params.beta * tf**2)
     resid = rep.feasibility[-1]
     c.expect(resid <= bound,
              f"x(T).L x(T) = {resid:.2e} <= 1.05 * 2 a^2 V0 / (b T^2) = {bound:.2e}")
     c.expect(rep.feasibility_max_violation <= 1e-6,
              f"per-agent set feasibility {rep.feasibility_max_violation:.2e} <= 1e-6 throughout")
-    runtime = time.perf_counter() - start
-    c.expect(runtime < 60.0, f"runtime {runtime:.1f}s < 60s")
-    return c.ok, runtime, c.details
 
 
-@_criterion("5 distributed quadratic")
-def criterion_5() -> tuple:
+@_criterion("5 distributed quadratic", budget=120)
+def criterion_5(c):
     """Distributed quadratic resource sharing: multiplier consensus bound."""
-    start = time.perf_counter()
-    c = _Checker()
     problem = build_dist_qp(seed=1)
     ref = reference_solution(problem, 1e-8)
     alpha, tf = 3.0, 100.0
-    fld, traj = _run(problem, "admd", alpha=alpha, beta=1.0, tf=tf)
-    rep = evaluate_run(fld, traj, ref)
+    fld, traj, rep = _run(problem, ref, "admd", tf, alpha=alpha)
     bound = 1.05 * 2 * alpha**2 * rep.v0 / tf**2
     resid = rep.feasibility[-1]
     c.expect(resid <= bound,
              f"lam(T).L lam(T) = {resid:.2e} <= 1.05 * 2 a^2 E0 / T^2 = {bound:.2e}")
     c.expect(rep.feasibility_max_violation <= 1e-6,
              f"box feasibility {rep.feasibility_max_violation:.2e} <= 1e-6 throughout")
-    runtime = time.perf_counter() - start
-    c.expect(runtime < 120.0, f"runtime {runtime:.1f}s < 120s")
-    return c.ok, runtime, c.details
 
 
 def _recovery_checks(c, x_signal, x_true, f_val, f_true, label):
@@ -313,16 +291,13 @@ def _recovery_checks(c, x_signal, x_true, f_val, f_true, label):
 
 
 @_criterion("6 smoothed nonnegative recovery")
-def criterion_6() -> tuple:
+def criterion_6(c):
     """Smoothed nonnegative l1 recovery at alpha in {2, 4}."""
-    start = time.perf_counter()
-    c = _Checker()
     problem = build_nbp(seed=1)
     ref = reference_solution(problem, 1e-8)
     for alpha in (2.0, 4.0):
         t_alpha = time.perf_counter()
-        fld, traj = _run(problem, "sapdmd", alpha=alpha, beta=10.0, tf=200.0, mu0=0.1)
-        rep = evaluate_run(fld, traj, ref)
+        fld, traj, rep = _run(problem, ref, "sapdmd", 200.0, alpha=alpha, beta=10.0, mu0=0.1)
         gap_check = rep.check("lagrangian_gap_rate")
         c.expect(gap_check.ok,
                  f"alpha={alpha:g}: smoothed gap + 4 kappa mu within 1.05 a^2 V0/t^2 "
@@ -331,11 +306,10 @@ def criterion_6() -> tuple:
         _recovery_checks(c, xT, ref.x_star, problem.f_exact(xT), ref.f_star,
                          f"alpha={alpha:g}")
         c.expect(time.perf_counter() - t_alpha < 120.0, f"alpha={alpha:g}: runtime < 120s")
-    return c.ok, time.perf_counter() - start, c.details
 
 
 @_criterion("7 distributed smoothed recovery")
-def criterion_7() -> tuple:
+def criterion_7(c):
     """Distributed smoothed l1 recovery, row and column partitions.
 
     Recovery is evaluated on the reconstructed signal at the run's final
@@ -349,15 +323,11 @@ def criterion_7() -> tuple:
     with mu0 1000 it exhausts max_steps before t = 86, and to t = 80 it
     misses the objective gate after 460 s; mu0 1e4 and 1e5 miss it too.
     """
-    start = time.perf_counter()
-    c = _Checker()
-
     t_row = time.perf_counter()
     problem = build_dbp_row(seed=1)
     ref = reference_solution(problem, 1e-8)
-    fld, traj = _run(problem, "sadpdmd", alpha=3.0, beta=1.0, tf=86.0, mu0=10.0,
-                     rel_tol=1e-4, abs_tol=1e-6)
-    rep = evaluate_run(fld, traj, ref)
+    fld, traj, rep = _run(problem, ref, "sadpdmd", 86.0, alpha=3.0, mu0=10.0,
+                          rel_tol=1e-4, abs_tol=1e-6)
     cons = rep.check("consensus_rate")
     c.expect(cons.ok, f"row: x.Lx within 1.05 * 2 a^2 V0/(b t^2) (max ratio {cons.max_ratio:.4f})")
     x_blocks = fld.layout.split(traj.states[-1])["x"].reshape(problem.n_agents, -1)
@@ -371,9 +341,8 @@ def criterion_7() -> tuple:
     t_col = time.perf_counter()
     problem = build_dbp_col(seed=54)
     ref = reference_solution(problem, 1e-8)
-    fld, traj = _run(problem, "sadmd", alpha=3.0, beta=1.0, tf=86.0, mu0=10.0, mu_power=4.0,
-                     rel_tol=1e-4, abs_tol=1e-6)
-    rep = evaluate_run(fld, traj, ref)
+    fld, traj, rep = _run(problem, ref, "sadmd", 86.0, alpha=3.0, mu0=10.0, mu_power=4.0,
+                          rel_tol=1e-4, abs_tol=1e-6)
     mult = rep.check("multiplier_consensus_rate")
     c.expect(mult.ok, f"col: lam.L lam within 1.05 * 2 a^2 E0/t^2 (max ratio {mult.max_ratio:.4f})")
     xT = fld.layout.split(traj.states[-1])["x"]
@@ -381,14 +350,10 @@ def criterion_7() -> tuple:
     elapsed = time.perf_counter() - t_col
     c.expect(elapsed < 180.0, f"col: runtime {elapsed:.0f}s < 180s")
 
-    return c.ok, time.perf_counter() - start, c.details
 
-
-@_criterion("8 first/second-order agreement")
-def criterion_8() -> tuple:
+@_criterion("8 first/second-order agreement", budget=10)
+def criterion_8(c):
     """First-order versus second-order form on a 3-dim problem."""
-    start = time.perf_counter()
-    c = _Checker()
     a = np.array([[1.0, 1.0, 1.0]])
     b = np.array([2.0])
     center = np.array([0.3, 1.2, 0.7])
@@ -401,7 +366,7 @@ def criterion_8() -> tuple:
     samples = np.linspace(1.0, 20.0, 60)
     for mirror in (EuclideanMap(3), NegEntropyMap(3)):
         problem = ConstrainedProblem(obj, a, b, mirror)
-        params = SystemParams(alpha=2.0, beta=1.0)
+        params = SystemParams(alpha=2.0)
         f1 = build_field("apdmd", problem, params)
         f2 = _dyn.apdmd_second_order_field(problem, params)
         cfg = IntegratorConfig(rel_tol=rel, abs_tol=abs_tol)
@@ -412,9 +377,6 @@ def criterion_8() -> tuple:
         tol = 10 * 1e-6
         c.expect(max(sup_x, sup_lam) <= tol,
                  f"{mirror.kind}: sup |first - second| = {max(sup_x, sup_lam):.2e} <= {tol:.0e}")
-    runtime = time.perf_counter() - start
-    c.expect(runtime < 10.0, f"runtime {runtime:.1f}s < 10s")
-    return c.ok, runtime, c.details
 
 
 @contextmanager
@@ -436,12 +398,9 @@ def dynamics_poisoned():
             table[key] = fn
 
 
-@_criterion("9 oracle independence")
-def criterion_9() -> tuple:
+@_criterion("9 oracle independence", budget=60)
+def criterion_9(c):
     """Reference oracle quality on the whole catalogue, dynamics untouched."""
-    start = time.perf_counter()
-    c = _Checker()
-
     with dynamics_poisoned():
         for name in sorted(PROBLEMS):
             problem = PROBLEMS[name](1)
@@ -449,19 +408,13 @@ def criterion_9() -> tuple:
             c.expect(ref.kkt_residual <= 1e-8,
                      f"{name}: KKT residual {ref.kkt_residual:.2e} <= 1e-8 ({ref.method})")
 
-    runtime = time.perf_counter() - start
-    c.expect(runtime < 60.0, f"total runtime {runtime:.1f}s < 60s")
-    return c.ok, runtime, c.details
-
 
 @_criterion("negative control")
-def negative_control() -> tuple:
+def negative_control(c):
     """Tampering with the bound slack must flip a tight check to failing."""
-    start = time.perf_counter()
-    c = _Checker()
     problem = build_consensus_quadratic(edge_weight=10.0)
     ref = reference_solution(problem, 1e-9)
-    fld = build_field("adpdmd", problem, SystemParams(alpha=2.0, beta=1.0))
+    fld = build_field("adpdmd", problem, SystemParams(alpha=2.0))
     d = np.array([3.0, 0.0, -3.0, 0.0])
     y0 = fld.layout.pack(x=ref.x_star + d, u=ref.x_star + d,
                          lam=np.zeros(4), v=np.zeros(4))
@@ -473,7 +426,6 @@ def negative_control() -> tuple:
     tampered = evaluate_run(fld, traj, ref, slack=0.5).check("consensus_rate")
     c.expect(not tampered.ok,
              "slack tampered to 0.5 makes the consensus check fail")
-    return c.ok, time.perf_counter() - start, c.details
 
 
 ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

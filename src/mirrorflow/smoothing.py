@@ -1,10 +1,10 @@
-"""Smooth surrogates for max{0,s} and |s| and the l1 objective that the
-smoothed dynamics minimize; they take mu(t) from ``SystemParams.mu_at``.
+"""The smooth surrogate for |s| and the l1 objective that the smoothed
+dynamics minimize; they take mu(t) from ``SystemParams.mu_at``.
 
-Both scalar surrogates match the exact function outside a band of width
-proportional to mu and replace it by a quadratic inside, so
+The surrogate matches |s| outside a band of width mu and replaces it by a
+quadratic inside, so
 
-    0 <= surrogate(s, mu) - exact(s) <= mu / 4
+    0 <= surrogate(s, mu) - |s| <= mu / 4
 
 everywhere, i.e. the approximation constant kappa is 1/4 per term and adds
 up under nonnegative combinations (n/4 for the l1 norm in R^n).
@@ -23,15 +23,6 @@ def _check_mu(mu: float) -> float:
     if not mu > 0:
         raise ParameterError(f"smoothing parameter must be positive, got {mu}")
     return float(mu)
-
-
-def smooth_max_zero(s, mu: float):
-    """max{0, s} outside |s| > mu, (s + mu)^2 / (4 mu) inside."""
-    mu = _check_mu(mu)
-    s = np.asarray(s, dtype=float)
-    inner = (s + mu) ** 2 / (4.0 * mu)
-    out = np.where(np.abs(s) > mu, np.maximum(s, 0.0), inner)
-    return float(out) if out.ndim == 0 else out
 
 
 def smooth_abs(s, mu: float):

@@ -4,6 +4,8 @@ Each test runs one criterion end to end and prints its detail lines, so a
 failure shows exactly which sub-check broke and by how much.
 """
 
+import re
+
 import pytest
 
 from mirrorflow import acceptance, dynamics
@@ -82,16 +84,16 @@ def test_poison_reaches_every_field_builder():
 
 def test_a_raising_criterion_fails_and_the_rest_still_run(monkeypatch, capsys):
     @acceptance._criterion("7 diverges")
-    def diverges():
+    def diverges(c):
         raise IntegrationError("exceeded max_steps = 10", t=83.4)
 
     @acceptance._criterion("8 unsolved")
-    def unsolved():
+    def unsolved(c):
         raise OracleError("no convergence")
 
     @acceptance._criterion("9 passes")
-    def passes():
-        return True, 0.0, ["  ok fine"]
+    def passes(c):
+        c.expect(True, "fine")
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", [diverges, unsolved, passes])
     results = acceptance.run_acceptance()
@@ -101,3 +103,33 @@ def test_a_raising_criterion_fails_and_the_rest_still_run(monkeypatch, capsys):
     assert results[1].details == ["  BAD OracleError: no convergence"]
     out = capsys.readouterr().out
     assert "[FAIL] 7 diverges" in out and "[PASS] 9 passes" in out
+
+
+def test_a_criterion_that_raises_keeps_the_lines_it_recorded():
+    @acceptance._criterion("7 half done")
+    def half_done(c):
+        c.expect(True, "row: support recovered")
+        raise IntegrationError("exceeded max_steps = 10", t=83.4)
+
+    result = half_done()
+    assert not result.passed
+    assert result.details == ["  ok  row: support recovered",
+                              "  BAD IntegrationError at t = 83.4: exceeded max_steps = 10"]
+
+
+def test_the_harness_checks_a_budget_after_the_body_lines(monkeypatch, capsys):
+    @acceptance._criterion("1 over budget", budget=0.0)
+    def over_budget(c):
+        c.expect(True, "fine")
+
+    @acceptance._criterion("2 unbudgeted")
+    def unbudgeted(c):
+        c.expect(True, "fine")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [over_budget, unbudgeted])
+    over, free = acceptance.run_acceptance()
+    assert not over.passed and free.passed
+    assert over.details[0] == "  ok  fine" and len(over.details) == 2
+    assert re.fullmatch(r"  BAD runtime \d+\.\ds < 0s", over.details[1])
+    assert free.details == ["  ok  fine"]
+    assert "[FAIL] 1 over budget" in capsys.readouterr().out

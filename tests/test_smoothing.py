@@ -4,22 +4,7 @@ import pytest
 from mirrorflow.dynamics import SystemParams
 from mirrorflow.errors import ParameterError
 from mirrorflow.numerics import SeededRng
-from mirrorflow.smoothing import (
-    L1Objective,
-    smooth_abs,
-    smooth_abs_grad,
-    smooth_max_zero,
-)
-
-
-def test_max_zero_pointwise_values():
-    assert smooth_max_zero(2.0, 1.0) == 2.0
-    assert smooth_max_zero(0.0, 1.0) == 0.25
-    assert smooth_max_zero(-2.0, 1.0) == 0.0
-    # continuity at both band edges
-    for s in (1.0, -1.0):
-        inner = (s + 1.0) ** 2 / 4.0
-        assert abs(inner - max(0.0, s)) <= 1e-12
+from mirrorflow.smoothing import L1Objective, smooth_abs, smooth_abs_grad
 
 
 def test_abs_pointwise_values():
@@ -31,7 +16,7 @@ def test_abs_pointwise_values():
 
 def test_parameter_validation():
     with pytest.raises(ParameterError):
-        smooth_max_zero(1.0, 0.0)
+        smooth_abs(1.0, 0.0)
     with pytest.raises(ParameterError):
         smooth_abs(1.0, -1.0)
 
@@ -39,9 +24,7 @@ def test_parameter_validation():
 @pytest.mark.parametrize("mu", [1.0, 0.1, 0.01])
 def test_sandwich_bounds_on_grid(mu):
     s = np.linspace(-3.0, 3.0, 4001)
-    g = smooth_max_zero(s, mu) - np.maximum(s, 0.0)
     t = smooth_abs(s, mu) - np.abs(s)
-    assert np.all(g >= -1e-14) and np.all(g <= mu / 4 + 1e-14)
     assert np.all(t >= -1e-14) and np.all(t <= mu / 4 + 1e-14)
 
 
@@ -49,7 +32,6 @@ def test_mu_monotonicity():
     s = np.linspace(-2.0, 2.0, 801)
     mus = [2.0, 1.0, 0.5, 0.1, 0.01]
     for big, small in zip(mus, mus[1:]):
-        assert np.all(smooth_max_zero(s, big) >= smooth_max_zero(s, small) - 1e-14)
         assert np.all(smooth_abs(s, big) >= smooth_abs(s, small) - 1e-14)
 
 
@@ -113,7 +95,6 @@ def test_convexity_midpoint():
         mu = float(rng.uniform() + 1e-2)
         mid = 0.5 * (a + b)
         assert smooth_abs(mid, mu) <= 0.5 * (smooth_abs(a, mu) + smooth_abs(b, mu)) + 1e-12
-        assert smooth_max_zero(mid, mu) <= 0.5 * (smooth_max_zero(a, mu) + smooth_max_zero(b, mu)) + 1e-12
 
 
 def test_smoothed_objective_kappa_bound():
