@@ -18,7 +18,7 @@ from .mirror_maps import (
     ProjectionMap,
     SimplexEntropyMap,
 )
-from .numerics import SeededRng, kron, pseudoinverse
+from .numerics import SeededRng, pseudoinverse
 from .problems import (
     PROBLEMS,
     ConsensusProblem,

@@ -3,16 +3,21 @@
 Smooth problems: an augmented-Lagrangian outer loop with a projected FISTA
 inner solver. The returned KKT residual is the max of the natural-map
 stationarity residual ||x - P_X(x - (grad f + A^T lam))||_inf and the
-constraint violation.
+constraint violation. The consensus constraint L x = 0 is the one place a
+dense L = L_n (x) I exists: the augmented Lagrangian needs it as a matrix.
 
 L1 problems: one linear program, min ||x||_1 subject to the stacked affine
 constraints, solved exactly by a dense two-phase simplex with Bland's rule
 (``_min_l1``) and certified by an explicit check of the subgradient
 conditions (``_l1_residual``), so a wrong vertex or dual fails closed. The
-DEMO multiplier is the LP dual repeated per agent, and its y* is one
-least-squares solve with the graph Laplacian L_n. The consensus multiplier
-is built from the LP dual in closed form, by one least-squares solve with
-L_n, and each agent's stationarity is certified again.
+consensus multiplier is built from the LP dual in closed form, by one
+least-squares solve with the graph Laplacian, and each agent's stationarity
+is certified again.
+
+DEMO problems, both routes: the coupled problem min f(x) s.t.
+sum_i A_i x_i = sum_i d_i, x_i in X_i, solved by the augmented Lagrangian
+(smooth) or the LP (l1). Its multiplier eta, repeated per agent, is lam*,
+and y* is the minimum-norm solution of L y = d - Abar x.
 
 The oracle needs numpy only.
 """
@@ -108,30 +113,36 @@ def _block_projector(problem):
 def solve_consensus_smooth(problem: ConsensusProblem, tol: float) -> ReferenceSolution:
     proj = _block_projector(problem)
     lip = max(o.lipschitz for o in problem.objectives)
-    lap = problem.lifted.matrix
+    lap = np.kron(problem.lifted.l_n, np.eye(problem.block_dim))
     x, lam, kkt = _alm(problem.grad_stacked, lip, proj,
                        lap, np.zeros(problem.dim), tol, np.zeros(problem.dim))
     return ReferenceSolution(x, lam, problem.f_exact(x), kkt, method="alm-fista")
 
 
+def _coupled(problem: MonotropicProblem):
+    """sum_i A_i x_i = sum_i d_i as one (A, b) on the stacked x."""
+    return np.hstack(problem.a_blocks), np.sum(np.stack(problem.d_blocks), axis=0)
+
+
+def _demo_solution(problem: MonotropicProblem, x, eta, kkt, f_star, tol, method):
+    """The DEMO reference from a solution (x, eta) of the coupled problem:
+    lam* = eta per agent, and y* the minimum-norm y of L y = d - Abar x. The
+    residual adds the decomposed constraint and L lam*, and is certified."""
+    lifted = problem.lifted
+    lam = np.tile(eta, problem.n_agents)
+    y = lifted.solve(problem.d - problem.a_bar @ x)
+    kkt = max(kkt, float(np.max(np.abs(problem.a_bar @ x - problem.d + lifted.apply(y)))),
+              float(np.max(np.abs(lifted.apply(lam)))))
+    return ReferenceSolution(x, lam, f_star, _certified(kkt, tol, "demo reference"),
+                             method=method, y_star=y)
+
+
 def solve_demo_smooth(problem: MonotropicProblem, tol: float) -> ReferenceSolution:
-    """Solve the decomposed form over (x, y) with constraint Abar x - d + L y = 0."""
-    a_bar, d = problem.a_bar, problem.d
-    lap = problem.lifted.matrix
-    nx, ny = problem.dim, problem.multiplier_dim
-    a = np.hstack([a_bar, lap])
-    proj_x = _block_projector(problem)
-
-    def proj(z):
-        return np.concatenate([proj_x(z[:nx]), z[nx:]])
-
-    def grad(z):
-        return np.concatenate([problem.grad_stacked(z[:nx]), np.zeros(ny)])
-
     lip = max(o.lipschitz for o in problem.objectives)
-    z, lam, kkt = _alm(grad, lip, proj, a, d, tol, np.zeros(nx + ny))
-    x, y = z[:nx], z[nx:]
-    return ReferenceSolution(x, lam, problem.f_exact(x), kkt, method="alm-fista", y_star=y)
+    a_full, b_total = _coupled(problem)
+    x, eta, kkt = _alm(problem.grad_stacked, lip, _block_projector(problem), a_full, b_total,
+                       tol, np.zeros(problem.dim))
+    return _demo_solution(problem, x, eta, kkt, problem.f_exact(x), tol, "alm-fista")
 
 
 # --------------------------------------------------------------------------
@@ -235,8 +246,7 @@ def solve_consensus_l1(problem: ConsensusProblem, tol: float) -> ReferenceSoluti
 
     g = -A^T eta certifies x. With w_i = k eta_i, agent i is stationary when
     (L lam)_i = r_i = -k A_i^T eta_i - g. The blocks of r sum to zero, so
-    L lam = r is solvable; since L = L_n (x) I, the minimum-norm lam is the
-    least-squares solution of L_n Lam = R on the k x n block matrices.
+    L lam = r is solvable, and ``lifted.solve`` gives its minimum-norm lam.
     """
     projs = [mir.projector for mir in problem.mirrors]
     if any(p.kind != "affine" for p in projs):
@@ -248,11 +258,11 @@ def solve_consensus_l1(problem: ConsensusProblem, tol: float) -> ReferenceSoluti
     etas = np.split(eta, np.cumsum([p.a.shape[0] for p in projs])[:-1])
     pull = np.stack([k * (p.a.T @ e) for p, e in zip(projs, etas)])  # k A_i^T eta_i
     r = -pull + a_full.T @ eta
-    lam_blocks, *_ = np.linalg.lstsq(problem.lifted.l_n, r, rcond=None)
-    lam_lap = problem.lifted.l_n @ lam_blocks
+    lam = problem.lifted.solve(r.ravel())
+    lam_lap = problem.blocks(problem.lifted.apply(lam))
     for agent in range(k):
         kkt = max(kkt, _l1_residual(-lam_lap[agent] - pull[agent], x_bar, nonnegative=False))
-    return ReferenceSolution(np.tile(x_bar, k), lam_blocks.ravel(), float(k * np.sum(np.abs(x_bar))),
+    return ReferenceSolution(np.tile(x_bar, k), lam, float(k * np.sum(np.abs(x_bar))),
                              _certified(kkt, tol, "consensus l1"), method="lp-certificate")
 
 
@@ -260,16 +270,5 @@ def solve_demo_l1(problem: MonotropicProblem, tol: float) -> ReferenceSolution:
     kinds = sorted({m.projector.kind for m in problem.mirrors} - {"free"})
     if kinds:
         raise OracleError(f"demo l1 oracle solves over free space, not a {kinds[0]!r} set")
-    a_full = np.hstack(problem.a_blocks)
-    b_total = np.sum(np.stack(problem.d_blocks), axis=0)
-    x, eta, kkt = _min_l1(a_full, b_total, nonnegative=False)
-
-    k, lifted = problem.n_agents, problem.lifted
-    lam = np.tile(eta, k)
-    # L = L_n (x) I, so the minimum-norm y of L y = d - Abar x comes from L_n
-    r = problem.d - problem.a_bar @ x
-    y = np.linalg.lstsq(lifted.l_n, r.reshape(k, -1), rcond=None)[0].ravel()
-    kkt = max(kkt, float(np.max(np.abs(problem.a_bar @ x - problem.d + lifted.apply(y)))),
-              float(np.max(np.abs(lifted.apply(lam)))))
-    return ReferenceSolution(x, lam, float(np.sum(np.abs(x))), _certified(kkt, tol, "demo l1"),
-                             method="lp-certificate", y_star=y)
+    x, eta, kkt = _min_l1(*_coupled(problem), nonnegative=False)
+    return _demo_solution(problem, x, eta, kkt, float(np.sum(np.abs(x))), tol, "lp-certificate")

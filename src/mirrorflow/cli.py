@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import acceptance
 from .dynamics import SYSTEMS, SystemParams, build_field, check_params, mismatch
 from .errors import MirrorflowError, ParameterError, UsageError
 from .integrator import IntegratorConfig, integrate
@@ -257,6 +256,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(_args) -> int:
+    from . import acceptance  # imported here, so a run does not load the suite
+
     results = acceptance.run_acceptance()
     failed = [r for r in results if not r.passed]
     print()

@@ -188,7 +188,7 @@ def _central(problem, ref, beta, smoothed, s, gap):
 
 def _consensus(problem, ref, beta, smoothed, s, gap):
     x = s["x"]
-    lx = problem.lifted.matrix @ x
+    lx = problem.lifted.apply(x)
     q = float(x @ lx)
     if smoothed:
         lxn = float(np.linalg.norm(lx))
@@ -199,9 +199,9 @@ def _consensus(problem, ref, beta, smoothed, s, gap):
 
 
 def _demo(problem, ref, beta, smoothed, s, gap):
-    lap, lam = problem.lifted.matrix, s["lam"]
-    p = float(lam @ (lap @ lam))
-    return (problem.a_bar @ s["x"] - problem.d - lap @ ref.y_star, 0.5 * p, max(p, 0.0),
+    lap, lam = problem.lifted, s["lam"]
+    p = float(lam @ lap.apply(lam))
+    return (problem.a_bar @ s["x"] - problem.d - lap.apply(ref.y_star), 0.5 * p, max(p, 0.0),
             0.5 * float(np.sum((s["z"] - ref.y_star) ** 2)), None)
 
 
@@ -209,7 +209,7 @@ def _demo_reference(problem, ref) -> list:
     if ref.y_star is None:
         raise ParameterError("monotropic diagnostics need y* from the reference solution")
     # the certificate requires a consensus multiplier
-    if float(np.max(np.abs(problem.lifted.matrix @ ref.lam_star))) > 1e-6:
+    if float(np.max(np.abs(problem.lifted.apply(ref.lam_star)))) > 1e-6:
         return ["reference multiplier is not consensual; energy may be loose"]
     return []
 

@@ -279,7 +279,7 @@ def _demo_field(problem: MonotropicProblem, params: SystemParams, kind: str) -> 
     # start the auxiliary variable at the least-squares solution of
     # L y = d - A x0, which removes the representable part of the initial
     # resource residual (computable from problem data alone)
-    aux0, *_ = np.linalg.lstsq(lap.matrix, d - a_bar @ x0, rcond=None)
+    aux0 = lap.solve(d - a_bar @ x0)
     y0 = layout.pack(x=x0, u=u0, lam=np.zeros(q),
                      v=np.zeros(q), y=aux0, z=aux0)
     return VectorField(kind, rhs, layout, problem, params, y0)

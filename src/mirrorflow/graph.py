@@ -1,5 +1,6 @@
 """Undirected weighted communication graphs, Laplacians, and the
-Kronecker-lifted Laplacian L = L_n (x) I_m used by the distributed dynamics.
+Kronecker-lifted Laplacian L = L_n (x) I_m used by the distributed dynamics,
+applied and solved blockwise through L_n.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SizeError
-from .numerics import as_matrix, kron
+from .numerics import as_matrix
 
 
 @dataclass(frozen=True)
@@ -74,28 +75,34 @@ def is_connected(g: UndirectedGraph) -> bool:
 
 @dataclass(frozen=True)
 class LiftedLaplacian:
-    """L = L_n (x) I_m acting blockwise on stacked agent states."""
+    """L = L_n (x) I_m on stacked agent states, held as L_n and m: it acts on
+    the (n x m) block view of a stacked vector, so L is never formed."""
 
     l_n: np.ndarray
     m: int
-    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.l_n.shape[0] * self.m
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """L @ x computed blockwise; identical result, much cheaper than the
-        dense product when m is large."""
+        """L @ x, as L_n times the (n x m) block view of x."""
         n = self.l_n.shape[0]
         return np.dot(self.l_n, x.reshape(n, self.m)).ravel()
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """The minimum-norm least-squares y of L y = r. The pseudoinverse of
+        L_n (x) I is pinv(L_n) (x) I, so one solve with L_n on the block view
+        gives it. y is orthogonal to the consensus directions, and L y = r
+        holds when the blocks of r sum to zero, the range of L."""
+        n = self.l_n.shape[0]
+        return np.linalg.lstsq(self.l_n, r.reshape(n, self.m), rcond=None)[0].ravel()
 
 
 def lift(g: UndirectedGraph, m: int) -> LiftedLaplacian:
     if m < 1:
         raise ParameterError("block dimension must be >= 1")
-    l_n = laplacian(g)
-    return LiftedLaplacian(l_n=l_n, m=int(m), matrix=kron(l_n, np.eye(m)))
+    return LiftedLaplacian(l_n=laplacian(g), m=int(m))
 
 
 def consensus_residual(lap: LiftedLaplacian, x) -> float:
@@ -103,4 +110,4 @@ def consensus_residual(lap: LiftedLaplacian, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != lap.dim:
         raise SizeError(f"state has dim {x.shape[0]}, Laplacian is {lap.dim}x{lap.dim}")
-    return float(x @ (lap.matrix @ x))
+    return float(x @ lap.apply(x))

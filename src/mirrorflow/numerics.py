@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, SizeError
 
-# Entry budget for kron output; anything larger than this is a mistake at
-# desk scale and would silently eat memory.
-_MAX_KRON_ENTRIES = 50_000_000
-
 _RANK_TOL = 1e-12  # relative to the largest, a smaller singular value counts as zero
 
 
@@ -45,16 +41,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not all_finite(m.ravel()):
         raise NumericError(f"{name} contains non-finite entries")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with an output-size guard."""
-    a = as_matrix(a, "kron left factor")
-    b = as_matrix(b, "kron right factor")
-    entries = a.shape[0] * b.shape[0] * a.shape[1] * b.shape[1]
-    if entries > _MAX_KRON_ENTRIES:
-        raise SizeError(f"kron output would have {entries} entries")
-    return np.kron(a, b)
 
 
 def pseudoinverse(a) -> np.ndarray:

@@ -398,7 +398,7 @@ import json, sys
 from mirrorflow.cli import main
 code = main(sys.argv[1:])
 loaded = {name: sorted(m for m in sys.modules if (m + ".").startswith(name + "."))
-          for name in ("scipy", "numpy.random")}
+          for name in ("scipy", "numpy.random", "mirrorflow.acceptance")}
 print(json.dumps({"code": code, **loaded}))
 """
 
@@ -410,7 +410,8 @@ print(json.dumps({"code": code, **loaded}))
 ])
 def test_no_run_loads_scipy(problem, system, extra, tmp_path):
     # the l1 route solves its LP too, and the seeded builders draw their
-    # instances: the package runs on numpy alone, without numpy.random
+    # instances: the package runs on numpy alone, without numpy.random; and a
+    # run does not load the acceptance suite
     src = str(Path(mirrorflow.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -423,6 +424,7 @@ def test_no_run_loads_scipy(problem, system, extra, tmp_path):
     assert result["code"] == 0
     assert result["scipy"] == []
     assert result["numpy.random"] == []
+    assert result["mirrorflow.acceptance"] == []
     summary = json.loads((out / "summary.json").read_text())
     assert summary["f_star"] == reference_solution(PROBLEMS[problem](summary["seed"])).f_star
 

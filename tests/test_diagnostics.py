@@ -65,8 +65,7 @@ def lyapunov_apdmd(t: float, state: dict, mirror, problem, ref, params) -> float
 def lyapunov_adpdmd(t: float, state: dict, problem, ref, params) -> float:
     """Energy of the consensus flow; blockwise Bregman terms per agent."""
     x, u, v = state["x"], state["u"], state["v"]
-    lap = problem.lifted.matrix
-    lx = lap @ x
+    lx = problem.lifted.apply(x)
     q = float(x @ lx)
     if problem.is_smoothed:
         mu = params.mu_at(t)
@@ -84,9 +83,9 @@ def lyapunov_admd(t: float, state: dict, problem, ref, params) -> float:
     """Energy of the monotropic flow, including the auxiliary-block term."""
     x, u, v, z = state["x"], state["u"], state["v"], state["z"]
     lam = state["lam"]
-    lap = problem.lifted.matrix
-    p = float(lam @ (lap @ lam))
-    resid_star = problem.a_bar @ x - problem.d - lap @ ref.y_star
+    lap = problem.lifted
+    p = float(lam @ lap.apply(lam))
+    resid_star = problem.a_bar @ x - problem.d - lap.apply(ref.y_star)
     if problem.is_smoothed:
         mu = params.mu_at(t)
         core = problem.f_smooth(x, mu) - problem.f_smooth(ref.x_star, mu) \

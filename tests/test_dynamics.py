@@ -161,12 +161,12 @@ def test_admd_cancellation_structure():
     u = rng.normal(size=50)
     gx = problem.map_stacked(u)
     z = rng.normal(size=100)
-    lap = problem.lifted.matrix
+    lap = problem.lifted
     # choose z so that A gx - d - L lam + L z = 0: solve L z = d + L lam - A gx
-    rhs = problem.d + lap @ lam_c - problem.a_bar @ gx
+    rhs = problem.d + lap.apply(lam_c) - problem.a_bar @ gx
     # rhs may have a consensus component; project it out (it must be zero for solvability)
-    z, *_ = np.linalg.lstsq(lap, rhs, rcond=None)
-    resid = lap @ z - rhs
+    z = lap.solve(rhs)
+    resid = lap.apply(z) - rhs
     y = field.layout.pack(x=gx, u=u, lam=lam_c, v=lam_c, y=z, z=z)
     dy = field.layout.split(field.rhs(2.0, y))
     assert np.max(np.abs(dy["v"] - resid * (2.0 / 3.0))) <= 1e-8

@@ -59,7 +59,46 @@ def test_lift_kernel_contains_consensus():
     w = np.array([1.0, -2.0, 0.5])
     x = np.tile(w, 4)
     assert abs(consensus_residual(lifted, x)) <= 1e-12
-    assert np.allclose(lifted.matrix.sum(axis=1), 0.0)
+    assert np.allclose(lifted.apply(np.ones(lifted.dim)), 0.0)
+
+
+def _dense(lifted):
+    """L = L_n (x) I_m formed densely, the reference for the blockwise forms."""
+    return np.kron(lifted.l_n, np.eye(lifted.m))
+
+
+_LIFTS = pytest.mark.parametrize("g, m", [
+    (ring(5), 3),
+    (from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)], [1.0, 2.0, 0.5, 3.0]), 2),
+], ids=["ring5-m3", "weighted4-m2"])
+
+
+@_LIFTS
+def test_lifted_apply_is_the_dense_product(g, m):
+    lifted = lift(g, m)
+    dense = _dense(lifted)
+    assert lifted.dim == lifted.l_n.shape[0] * m == dense.shape[0]
+    assert np.allclose(dense.sum(axis=1), 0.0, atol=1e-14)
+    rng = SeededRng(11)
+    for _ in range(20):
+        x = rng.normal(lifted.dim)
+        assert np.max(np.abs(lifted.apply(x) - dense @ x)) <= 1e-14
+
+
+@_LIFTS
+def test_lifted_solve_is_the_dense_minimum_norm_solution(g, m):
+    lifted = lift(g, m)
+    dense = _dense(lifted)
+    rng = SeededRng(12)
+    for _ in range(20):
+        r = rng.normal(lifted.dim)
+        y = lifted.solve(r)
+        assert np.max(np.abs(y - np.linalg.lstsq(dense, r, rcond=None)[0])) <= 1e-12
+        # orthogonal to every consensus direction 1 (x) e_j
+        assert np.max(np.abs(y.reshape(g.n, m).sum(axis=0))) <= 1e-12
+        # blocks summing to zero put r in the range of L, where solve inverts apply
+        r_range = r - np.tile(r.reshape(g.n, m).mean(axis=0), g.n)
+        assert np.max(np.abs(lifted.apply(lifted.solve(r_range)) - r_range)) <= 1e-12
 
 
 def test_two_node_path_residual():

@@ -7,64 +7,14 @@ from hypothesis import strategies as st
 
 from mirrorflow import problems
 from mirrorflow.errors import NumericError, ParameterError, SizeError
-from mirrorflow.graph import laplacian, ring
 from mirrorflow.numerics import (
     SeededRng,
     as_matrix,
     as_vector,
-    kron,
     pseudoinverse,
     random_orthogonal_rows,
     random_psd,
 )
-
-
-def kron_reference(a, b):
-    """Independent elementwise Kronecker product used as the test oracle."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb))
-    for i in range(ra):
-        for j in range(ca):
-            for p in range(rb):
-                for q in range(cb):
-                    out[i * rb + p, j * cb + q] = a[i, j] * b[p, q]
-    return out
-
-
-def test_kron_identity_cases():
-    assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(kron(np.array([[2.0]]), m), 2.0 * m)
-
-
-def test_kron_matches_elementwise_oracle():
-    rng = SeededRng(7)
-    a = rng.normal(3, 2)
-    b = rng.normal(2, 4)
-    assert np.allclose(kron(a, b), kron_reference(a, b), atol=1e-14)
-
-
-def test_kron_ring_laplacian_lift_row_sums_zero():
-    l3 = laplacian(ring(3))
-    lifted = kron(l3, np.eye(2))
-    assert np.allclose(lifted.sum(axis=1), 0.0, atol=1e-14)
-    assert np.allclose(lifted, kron_reference(l3, np.eye(2)))
-
-
-def test_kron_mixed_product_property():
-    rng = SeededRng(3)
-    for _ in range(20):
-        a, c = rng.normal(2, 3), rng.normal(3, 2)
-        b, d = rng.normal(3, 2), rng.normal(2, 3)
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
-def test_kron_size_guard():
-    with pytest.raises(SizeError):
-        kron(np.ones((8000, 1)), np.ones((1, 8000)))
 
 
 def moore_penrose_residuals(a, p):

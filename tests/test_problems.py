@@ -131,7 +131,7 @@ def _consensus_stationarity(problem, x_bar, lam):
     """
     on = x_bar != 0
     support, excess = 0.0, -np.inf
-    for mirror, l_lam in zip(problem.mirrors, problem.blocks(problem.lifted.matrix @ lam)):
+    for mirror, l_lam in zip(problem.mirrors, problem.blocks(problem.lifted.apply(lam))):
         a_i = mirror.projector.a
         w, *_ = np.linalg.lstsq(a_i[:, on].T, -l_lam[on] - np.sign(x_bar[on]), rcond=None)
         g = -l_lam - a_i.T @ w
@@ -166,7 +166,7 @@ def _recheck_reference(name, seed):
         assert np.array_equal(lam, np.tile(eta, p.n_agents))
         assert np.max(np.abs(sum(a @ xi for a, xi in zip(p.a_blocks, p.blocks(x)))
                              - sum(p.d_blocks))) <= 1e-8
-        assert np.max(np.abs(p.a_bar @ x - p.d + p.lifted.matrix @ ref.y_star)) <= 1e-8
+        assert np.max(np.abs(p.a_bar @ x - p.d + p.lifted.apply(ref.y_star))) <= 1e-8
         assert _l1_subgradient_excess(-np.hstack(p.a_blocks).T @ eta, x) <= 1e-8
     if name == "d_bp_r":  # every agent holds x_bar and is stationary on its own
         x_bar = p.blocks(x)[0]
@@ -188,12 +188,52 @@ def test_non_consensus_shift_of_the_multiplier_fails_the_recheck():
     assert max(_consensus_stationarity(p, x_bar, ref.lam_star + (delta - mean))) > 0.1
 
 
-def test_demo_graph_variable_is_the_dense_minimum_norm_solution():
-    # y* comes from L_n alone; L = L_n (x) I gives the dense lstsq solution
-    p = build_dbp_col(54)
+def _dense_laplacian(lifted):
+    """L = L_n (x) I_m formed densely, the reference for the blockwise forms."""
+    return np.kron(lifted.l_n, np.eye(lifted.m))
+
+
+@pytest.mark.parametrize("name, seed", [("d_bp_c", 54), ("d_sp", 1)])
+def test_demo_graph_variable_is_the_dense_minimum_norm_solution(name, seed):
+    # y* comes from L_n alone; L = L_n (x) I gives the dense lstsq solution,
+    # on the l1 route (d_bp_c) and the smooth one (d_sp)
+    p = PROBLEMS[name](seed)
     ref = reference_solution(p, tol=1e-8)
-    y_dense = np.linalg.lstsq(p.lifted.matrix, p.d - p.a_bar @ ref.x_star, rcond=None)[0]
+    y_dense = np.linalg.lstsq(_dense_laplacian(p.lifted), p.d - p.a_bar @ ref.x_star,
+                              rcond=None)[0]
     assert np.max(np.abs(ref.y_star - y_dense)) <= 1e-10 * max(1.0, np.max(np.abs(y_dense)))
+
+
+def test_smooth_demo_reference_is_the_exact_optimum_of_the_coupled_problem():
+    p = build_dist_qp(1)
+    ref = reference_solution(p, tol=1e-8)
+    x, lam = ref.x_star, ref.lam_star
+    # one multiplier per resource, repeated per agent: L lam* is zero to the bit
+    assert np.all(p.lifted.apply(lam) == 0.0)
+    # KKT of min f s.t. sum_k A_k x_k = sum_k d_k, x_k in its box, rechecked here.
+    # Only coordinate 3 has an agent off its bounds, so eta is not unique in the
+    # other four; any eta that certifies x will do.
+    lo = np.concatenate([m.projector.lo for m in p.mirrors])
+    hi = np.concatenate([m.projector.hi for m in p.mirrors])
+    c, e = np.hstack(p.a_blocks), np.sum(p.d_blocks, axis=0)
+    stat = np.max(np.abs(x - np.clip(x - (p.grad_stacked(x) + p.a_bar.T @ lam), lo, hi)))
+    assert max(ref.kkt_residual, stat, np.max(np.abs(c @ x - e))) <= 1e-8
+    # f*: an exact KKT solve on the bounds the oracle left inactive
+    n = p.dim
+    h = np.zeros((n, n))
+    for k, o in enumerate(p.objectives):
+        b = slice(k * p.m, (k + 1) * p.m)
+        h[b, b] = np.column_stack([o.grad(col) for col in np.eye(p.m)])
+    at_lo, at_hi = x <= lo + 1e-7, x >= hi - 1e-7
+    x_exact = np.where(at_lo, lo, np.where(at_hi, hi, x))
+    free = ~(at_lo | at_hi)
+    kkt = np.block([[h[np.ix_(free, free)], c[:, free].T], [c[:, free], np.zeros((p.m, p.m))]])
+    rhs = np.concatenate([-h[np.ix_(free, ~free)] @ x_exact[~free],
+                          e - c[:, ~free] @ x_exact[~free]])
+    x_exact[free] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:free.sum()]
+    assert np.all(lo <= x_exact) and np.all(x_exact <= hi)
+    assert np.max(np.abs(c @ x_exact - e)) <= 1e-9
+    assert abs(ref.f_star - p.f_exact(x_exact)) <= 1e-6
 
 
 def test_consensus_quadratic_optimum():
@@ -224,9 +264,10 @@ def test_consensus_laplacian_comes_from_its_graph():
     heavy = from_edges(2, [(0, 1)], [5.0])
     with pytest.raises(TypeError):  # a Laplacian that disagrees with the graph cannot be given
         ConsensusProblem(p.objectives, p.mirrors, p.graph, block_dim=2, lifted=lift(heavy, 2))
-    assert np.array_equal(p.lifted.matrix, lift(p.graph, 2).matrix)
+    assert np.array_equal(_dense_laplacian(p.lifted), _dense_laplacian(lift(p.graph, 2)))
     q = ConsensusProblem(p.objectives, p.mirrors, heavy, block_dim=2)
-    assert np.array_equal(q.lifted.matrix, build_consensus_quadratic(5.0).lifted.matrix)
+    assert np.array_equal(_dense_laplacian(q.lifted),
+                          _dense_laplacian(build_consensus_quadratic(5.0).lifted))
 
 
 def test_stacked_box_projection_is_bitwise_the_per_agent_projection():
