@@ -82,7 +82,7 @@ def _alm(grad_f, lip_f, proj, a, b, tol, x0):
         if feas > 0.25 * feas_prev:
             beta = min(beta * 2.0, 1e8)
         feas_prev = feas
-    raise OracleError(f"augmented-Lagrangian oracle stalled at residual {kkt:.3e}", residual=kkt)
+    raise OracleError(f"augmented-Lagrangian oracle stalled at residual {kkt:.3e}")
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def _l1_residual(g, x, nonnegative: bool) -> float:
 
 def _certified(kkt: float, tol: float, what: str) -> float:
     if kkt > tol:
-        raise OracleError(f"{what} residual {kkt:.3e} exceeds tol", residual=kkt)
+        raise OracleError(f"{what} residual {kkt:.3e} exceeds tol")
     return kkt
 
 

@@ -187,15 +187,14 @@ def _strict_json(summary: dict) -> str:
     return json.dumps(finite(summary), indent=2, allow_nan=False)
 
 
-_CSV_COLUMNS = ("t", "gap", "lagrangian_gap", "feasibility", "lyapunov", "mu",
-                "x_norm", "lambda_norm")
+# each trajectory.csv header and the RunReport array it holds
+_CSV_COLUMNS = {"t": "times", "gap": "primal_gap", "lagrangian_gap": "lagrangian_gap",
+                "feasibility": "feasibility", "lyapunov": "lyapunov", "mu": "mu",
+                "x_norm": "x_norm", "lambda_norm": "lambda_norm"}
 
 
 def _write_csv(path: Path, report):
-    rows = np.column_stack([
-        report.times, report.primal_gap, report.lagrangian_gap, report.feasibility,
-        report.lyapunov, report.mu, report.x_norm, report.lambda_norm,
-    ])
+    rows = np.column_stack([getattr(report, name) for name in _CSV_COLUMNS.values()])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\r\n")
         for row in rows:

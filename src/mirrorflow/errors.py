@@ -37,10 +37,6 @@ class IntegrationError(MirrorflowError, RuntimeError):
 class OracleError(MirrorflowError, RuntimeError):
     """Reference solver did not reach the requested tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class UsageError(MirrorflowError, ValueError):
     """Invalid command-line or configuration input."""

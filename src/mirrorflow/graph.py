@@ -34,11 +34,7 @@ def ring(n: int) -> UndirectedGraph:
     """Unit-weight cycle on n >= 3 nodes."""
     if n < 3:
         raise ParameterError(f"a ring needs at least 3 nodes, got {n}")
-    a = np.zeros((n, n))
-    for i in range(n):
-        j = (i + 1) % n
-        a[i, j] = a[j, i] = 1.0
-    return UndirectedGraph(n, a)
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def from_edges(n: int, edges, weights=None) -> UndirectedGraph:
@@ -76,7 +72,11 @@ def is_connected(g: UndirectedGraph) -> bool:
 @dataclass(frozen=True)
 class LiftedLaplacian:
     """L = L_n (x) I_m on stacked agent states, held as L_n and m: it acts on
-    the (n x m) block view of a stacked vector, so L is never formed."""
+    the (n x m) block view of a stacked vector. Only the smooth consensus
+    oracle forms L densely. Three products in the right-hand sides, the
+    consensus flow's two and the DEMO flow's dz = L v, bypass ``apply``:
+    they write L_n times the block view straight into their output block,
+    which gives the same bits and costs less per evaluation."""
 
     l_n: np.ndarray
     m: int

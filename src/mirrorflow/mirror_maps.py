@@ -30,6 +30,13 @@ from .projections import FullSpace, PositiveOrthant, Projector, Simplex
 EXP_CLAMP = 500.0  # exp(500) ~ 1.4e217, still finite in float64
 
 
+def _kl(x_star: np.ndarray, x: np.ndarray) -> float:
+    """sum x* ln(x*/x) over the support of x*; an x that underflowed to 0 gives +inf."""
+    pos = x_star > 0
+    with np.errstate(divide="ignore"):
+        return float(np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos]))))
+
+
 def _xlogx(x: np.ndarray) -> np.ndarray:
     """x * ln(x) with the 0*ln(0) = 0 convention."""
     out = np.zeros_like(x)
@@ -176,11 +183,7 @@ class NegEntropyMap(MirrorMap):
         if np.any(x_star < 0):
             raise DomainError("x* must be in the positive orthant")
         x = self.grad_conjugate(u)
-        pos = x_star > 0
-        val = np.sum(x) - np.sum(x_star)
-        with np.errstate(divide="ignore"):  # an x that underflowed to 0 gives +inf
-            val += np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos])))
-        return float(val)
+        return float(np.sum(x) - np.sum(x_star) + _kl(x_star, x))
 
 
 class ItakuraSaitoMap(MirrorMap):
@@ -266,10 +269,7 @@ class SimplexEntropyMap(MirrorMap):
         x_star = self._check(x_star, "optimal point")
         if np.any(x_star < 0):
             raise DomainError("x* must be on the simplex")
-        x = self.grad_conjugate(u)
-        pos = x_star > 0
-        with np.errstate(divide="ignore"):  # an x that underflowed to 0 gives +inf
-            return float(np.sum(x_star[pos] * (np.log(x_star[pos]) - np.log(x[pos]))))
+        return _kl(x_star, self.grad_conjugate(u))
 
 
 class ProjectionMap(MirrorMap):

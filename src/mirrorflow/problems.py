@@ -99,6 +99,9 @@ class _Agents:
         return sum(o.exact(xi) for o, xi in zip(self.objectives, self.blocks(x)))
 
     def f_smooth(self, x, mu: float) -> float:
+        """f_mu(x); a smooth f is its own surrogate, the mu = 0 case."""
+        if not self.is_smoothed:
+            return self.f_exact(x)
         return sum(o.value(xi, mu) for o, xi in zip(self.objectives, self.blocks(x)))
 
     def set_violation(self, x) -> float:
@@ -322,7 +325,7 @@ def build_dis_logistic() -> ConsensusProblem:
     return ConsensusProblem(objectives, mirrors, ring(4), block_dim=4)
 
 
-def build_dist_qp(seed: int = 1) -> MonotropicProblem:
+def build_dist_qp(seed: int) -> MonotropicProblem:
     """Ten quadratic agents on a ring sharing a per-coordinate supply of 7.
 
     Agent k (k = 0..9) owns the box [k+2, k+3]^5; with zero-based indexing
@@ -355,7 +358,7 @@ def _planted_sparse(rng: SeededRng, dim: int, sparsity: int, signed: bool) -> np
     return x0
 
 
-def build_nbp(seed: int = 1) -> ConstrainedProblem:
+def build_nbp(seed: int) -> ConstrainedProblem:
     """Nonnegative l1 recovery: 10 orthonormal Gaussian measurements of a
     2-sparse nonnegative signal in R^40, entropy map on the orthant."""
     rng = SeededRng(seed)
@@ -365,13 +368,18 @@ def build_nbp(seed: int = 1) -> ConstrainedProblem:
     return ConstrainedProblem(L1Objective(), a, b, NegEntropyMap(40))
 
 
-def build_dbp_row(seed: int = 1) -> ConsensusProblem:
+def _gaussian_recovery(seed: int) -> tuple:
+    """(A, b = A x0): 10 Gaussian measurements, A with N(0, 1/10) entries, of a
+    2-sparse signed signal x0 in R^60; both partitioned recoveries split it."""
+    rng = SeededRng(seed)
+    a = rng.normal(10, 60) / np.sqrt(10.0)
+    return a, a @ _planted_sparse(rng, 60, 2, signed=True)
+
+
+def build_dbp_row(seed: int) -> ConsensusProblem:
     """Row-partitioned l1 recovery: 5 agents each holding 2 of 10 Gaussian
     measurements of a 2-sparse signal in R^60; affine-projection maps."""
-    rng = SeededRng(seed)
-    a_full = rng.normal(10, 60) / np.sqrt(10.0)
-    x0 = _planted_sparse(rng, 60, 2, signed=True)
-    b_full = a_full @ x0
+    a_full, b_full = _gaussian_recovery(seed)
     mirrors = []
     for i in range(5):
         rows = slice(2 * i, 2 * i + 2)
@@ -380,13 +388,10 @@ def build_dbp_row(seed: int = 1) -> ConsensusProblem:
     return ConsensusProblem(objectives, tuple(mirrors), ring(5), block_dim=60)
 
 
-def build_dbp_col(seed: int = 1) -> MonotropicProblem:
+def build_dbp_col(seed: int) -> MonotropicProblem:
     """Column-partitioned l1 recovery: a 10x60 Gaussian system split into 10
     agents of 6 columns each, coupled through the shared measurement budget."""
-    rng = SeededRng(seed)
-    a_full = rng.normal(10, 60) / np.sqrt(10.0)
-    x0 = _planted_sparse(rng, 60, 2, signed=True)
-    b = a_full @ x0
+    a_full, b = _gaussian_recovery(seed)
     a_blocks = tuple(a_full[:, 6 * i:6 * i + 6].copy() for i in range(10))
     d_blocks = tuple(b / 10.0 for _ in range(10))
     objectives = tuple(L1Objective() for _ in range(10))
@@ -453,16 +458,22 @@ def _spec_array(spec: dict, key: str, what: str, scalar: bool = False):
                              f"{spec[key]!r}") from None
 
 
-def _objective_from_spec(spec):
+def _objective_from_spec(spec, n: int):
+    """The objective on R^n, n = cols(A): q must be n x n and w of length n."""
     what = "problem_spec objective"
     kind = _spec_object(spec, what).get("kind", "quadratic")
-    if kind == "quadratic":
-        return quadratic_objective(_spec_array(spec, "q", what))
-    if kind == "logistic":
-        return logistic_objective(_spec_array(spec, "w", what))
     if kind == "l1":
         return L1Objective()
-    raise ParameterError(f"unknown objective kind {kind!r}")
+    builds = {"quadratic": (quadratic_objective, "q", (n, n)),
+              "logistic": (logistic_objective, "w", (n,))}
+    if kind not in builds:
+        raise ParameterError(f"unknown objective kind {kind!r}")
+    build, key, shape = builds[kind]
+    value = _spec_array(spec, key, what)
+    if value.shape != shape:
+        raise ParameterError(f"{what} {key!r} has shape {value.shape}, but cols(A) = {n} "
+                             f"needs {shape}")
+    return build(value)
 
 
 def _mirror_from_spec(spec, dim: int) -> MirrorMap:
@@ -494,7 +505,7 @@ def problem_from_spec(spec: dict) -> ConstrainedProblem:
     a = as_matrix(_spec_array(spec, "a", "problem_spec"), "constraint matrix")
     b = as_vector(_spec_array(spec, "b", "problem_spec"), "right-hand side")
     mirror = _mirror_from_spec(spec.get("set", {}), a.shape[1])
-    objective = _objective_from_spec(spec.get("objective", {}))
+    objective = _objective_from_spec(spec.get("objective", {}), a.shape[1])
     return ConstrainedProblem(objective, a, b, mirror)
 
 

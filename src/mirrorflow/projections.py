@@ -20,6 +20,12 @@ class Projector:
     kind = "abstract"
     dim: int
 
+    def __init__(self, dim: int):
+        """A set given by its dimension alone; the others take their own data."""
+        if dim < 1:
+            raise ParameterError(f"{self.kind} dimension must be >= 1")
+        self.dim = int(dim)
+
     def project(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -142,11 +148,6 @@ class Simplex(Projector):
 
     kind = "simplex"
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ParameterError("simplex dimension must be >= 1")
-        self.dim = int(dim)
-
     def project(self, u):
         u = self._check(u)
         s = np.sort(u)[::-1]
@@ -167,11 +168,6 @@ class PositiveOrthant(Projector):
 
     kind = "orthant"
 
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ParameterError("orthant dimension must be >= 1")
-        self.dim = int(dim)
-
     def project(self, u):
         return np.maximum(self._check(u), 0.0)
 
@@ -184,11 +180,6 @@ class FullSpace(Projector):
     """R^n; identity projection (used where no set constraint applies)."""
 
     kind = "free"
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ParameterError("dimension must be >= 1")
-        self.dim = int(dim)
 
     def project(self, u):
         return self._check(u).copy()

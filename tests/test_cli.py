@@ -510,6 +510,24 @@ def test_malformed_config_is_usage_error(config, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("objective, key", [
+    ({"kind": "logistic", "w": [1.0, 2.0, 3.0]}, "'w'"),
+    ({"kind": "quadratic", "q": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "'q'"),
+], ids=["logistic", "quadratic"])
+def test_objective_sized_unlike_a_is_usage_error(objective, key, tmp_path, capsys):
+    # cols(A) = 2: rejected before any output, exit 2 and a message naming the key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem_spec": {"a": [[1.0, 1.0]], "b": [1.0],
+                                                 "objective": objective}}))
+    out = tmp_path / "out"
+    code = main(["run", "--system", "apdmd", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"problem_spec objective {key}" in captured.err and "cols(A) = 2" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry, message", [
     ({"system": ["apdmd"]}, "config 'system' must be a string, got ['apdmd']"),
     ({"problem": ["scalar"]}, "config 'problem' must be a string, got ['scalar']"),

@@ -402,6 +402,15 @@ def test_constrained_problem_is_one_agent():
     assert build_logistic_centralized().kappa == 0.0
 
 
+def test_a_smooth_objective_is_its_own_surrogate():
+    # f_smooth at mu = 0 is f on every smooth catalogue problem, the case a smooth run uses
+    for name, build in PROBLEMS.items():
+        p = build(1)
+        if not p.is_smoothed:
+            x = SeededRng(5).uniform(p.dim) + 0.1
+            assert p.f_smooth(x, 0.0) == p.f_exact(x), name
+
+
 def test_kappa_is_a_quarter_of_the_l1_dimension():
     # the l1 surrogate's bound is 1/4 per entry of the whole stacked x
     for build, kappa in ((build_nbp, 10.0), (build_dbp_row, 75.0), (build_dbp_col, 15.0)):
